@@ -20,9 +20,9 @@ struct Tagged {
   std::size_t pos;  // record order within the island
 };
 
-}  // namespace
-
-std::string merged_trace_jsonl(const std::vector<Recorder*>& islands) {
+// Streams the merged document row by row, so a file export never holds it
+// as one string.
+void write_merged_trace_jsonl(std::ostream& out, const std::vector<Recorder*>& islands) {
   std::vector<Tagged> all;
   std::size_t total = 0;
   for (const Recorder* rec : islands) total += rec->trace().events().size();
@@ -38,25 +38,14 @@ std::string merged_trace_jsonl(const std::vector<Recorder*>& islands) {
     if (x.island != y.island) return x.island < y.island;
     return x.pos < y.pos;
   });
+  for (const Tagged& t : all) write_jsonl_row(out, *t.e, t.island);
+}
 
+}  // namespace
+
+std::string merged_trace_jsonl(const std::vector<Recorder*>& islands) {
   std::ostringstream out;
-  for (const Tagged& t : all) {
-    const TraceEvent& e = *t.e;
-    out << "{\"at\": " << e.at << ", \"island\": " << t.island << ", \"kind\": \""
-        << to_string(e.kind) << "\", \"node\": ";
-    if (e.node == NodeId::kInvalid) {
-      out << "null";
-    } else {
-      out << e.node;
-    }
-    out << ", \"replica\": ";
-    if (e.replica == ReplicaId::kInvalid) {
-      out << "null";
-    } else {
-      out << e.replica;
-    }
-    out << ", \"a\": " << e.a << ", \"b\": " << e.b << ", \"c\": " << e.c << "}\n";
-  }
+  write_merged_trace_jsonl(out, islands);
   return out.str();
 }
 
@@ -82,7 +71,7 @@ bool export_merged_files(const std::vector<Recorder*>& islands,
   }
   if (!trace_path.empty()) {
     std::ofstream f(trace_path);
-    if (f) f << merged_trace_jsonl(islands);
+    if (f) write_merged_trace_jsonl(f, islands);
     ok = ok && static_cast<bool>(f);
   }
   return ok;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 
 namespace cts::obs {
@@ -55,30 +56,34 @@ std::vector<TraceEvent> TraceLog::select(EventKind kind) const {
   return out;
 }
 
+void write_jsonl_row(std::ostream& out, const TraceEvent& e, std::optional<std::size_t> island) {
+  out << "{\"at\": " << e.at;
+  if (island) out << ", \"island\": " << *island;
+  out << ", \"kind\": \"" << to_string(e.kind) << "\", \"node\": ";
+  if (e.node == NodeId::kInvalid) {
+    out << "null";
+  } else {
+    out << e.node;
+  }
+  out << ", \"replica\": ";
+  if (e.replica == ReplicaId::kInvalid) {
+    out << "null";
+  } else {
+    out << e.replica;
+  }
+  out << ", \"a\": " << e.a << ", \"b\": " << e.b << ", \"c\": " << e.c << "}\n";
+}
+
 std::string TraceLog::to_jsonl() const {
   std::ostringstream out;
-  for (const auto& e : events_) {
-    out << "{\"at\": " << e.at << ", \"kind\": \"" << to_string(e.kind) << "\", \"node\": ";
-    if (e.node == NodeId::kInvalid) {
-      out << "null";
-    } else {
-      out << e.node;
-    }
-    out << ", \"replica\": ";
-    if (e.replica == ReplicaId::kInvalid) {
-      out << "null";
-    } else {
-      out << e.replica;
-    }
-    out << ", \"a\": " << e.a << ", \"b\": " << e.b << ", \"c\": " << e.c << "}\n";
-  }
+  for (const auto& e : events_) write_jsonl_row(out, e);
   return out.str();
 }
 
 bool TraceLog::write_jsonl(const std::string& path) const {
   std::ofstream f(path);
   if (!f) return false;
-  f << to_jsonl();
+  for (const auto& e : events_) write_jsonl_row(f, e);
   return static_cast<bool>(f);
 }
 

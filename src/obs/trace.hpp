@@ -8,6 +8,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,6 +72,11 @@ struct TraceEvent {
   std::int64_t c = 0;
 };
 
+/// Write one event as a JSONL row.  With `island`, an "island" field
+/// follows "at" (the merged multi-island format, obs/merge.hpp).
+void write_jsonl_row(std::ostream& out, const TraceEvent& e,
+                     std::optional<std::size_t> island = std::nullopt);
+
 /// Append-only event log with a hard cap: once `max_events` are held, new
 /// events are counted in dropped() but not stored, so a long bench cannot
 /// grow without bound.  Tests that assert on the trace should also assert
@@ -108,12 +115,13 @@ class TraceLog {
     dropped_ = 0;
   }
 
-  /// One JSON object per line:
+  /// One JSON object per line (write_jsonl_row):
   ///   {"at": 1234, "kind": "token_pass", "node": 0, "replica": null,
   ///    "a": 7, "b": 1, "c": 0}
   [[nodiscard]] std::string to_jsonl() const;
 
-  /// Write to_jsonl() to `path`.  Returns false on I/O failure.
+  /// Stream the to_jsonl() document to `path` without materializing it.
+  /// Returns false on I/O failure.
   bool write_jsonl(const std::string& path) const;
 
  private:

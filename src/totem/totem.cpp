@@ -147,7 +147,6 @@ void TotemNode::crash() {
   state_ = State::kDown;
   net_.set_down(id_, true);
   store_.clear();
-  recovered_.clear();
   joins_.clear();
   perceived_.clear();
   send_queue_.clear();
@@ -472,6 +471,10 @@ void TotemNode::handle_token(Token tok) {
   token_aru_prev_ = token_aru_last_;
   token_aru_last_ = tok.aru;
   deliver_contiguous();
+  // Discard the delivered prefix at or below that horizon: every member
+  // holds it, so no rtr request or recovery rebroadcast can name it.
+  const TotemSeq discard = std::min({token_aru_prev_, token_aru_last_, delivered_up_to_});
+  store_.erase(store_.begin(), store_.upper_bound(discard));
 
   // 5. Forward the token after the hold time.
   scope_.after(cfg_.token_hold_us, [this, e = epoch_, tok = std::move(tok)]() mutable {
@@ -837,7 +840,6 @@ void TotemNode::install(const View& v) {
   max_ring_seen_ = std::max(max_ring_seen_, v.ring_id);
   view_ = v;
   store_.clear();
-  recovered_.clear();
   my_aru_ = 0;
   delivered_up_to_ = 0;
   last_token_seq_ = 0;

@@ -189,6 +189,9 @@ class TotemNode {
   [[nodiscard]] const View& view() const { return view_; }
   [[nodiscard]] const TotemStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t queued() const { return send_queue_.size(); }
+  /// Messages held in the current-ring store (sent or received, not yet
+  /// discarded below the safe horizon).
+  [[nodiscard]] std::size_t stored() const { return store_.size(); }
 
  private:
   // --- Wire formats -------------------------------------------------------
@@ -296,11 +299,14 @@ class TotemNode {
   View view_;
 
   // Current-ring message store: seq -> message; my_aru = contiguous prefix.
-  // FlatMap fits this workload exactly: seqs arrive near-monotonically (an
-  // insert is almost always an append at the back), the delivered prefix is
-  // never erased one-by-one — the whole store is cleared on ring install or
-  // crash — and the hot operations (contains of aru+1, find of the next
-  // undelivered seq) are binary searches over a contiguous vector.
+  // Bounded by the safe horizon: at every token visit the node drops the
+  // prefix it has delivered and that the two-visit aru shows every member
+  // holds, so the store spans only the last few rotations' traffic.  It is
+  // cleared whole on ring install or crash.  FlatMap fits this workload
+  // exactly: seqs arrive near-monotonically (an insert is almost always an
+  // append at the back), the discard is one range erase of the front, and
+  // the hot operations (contains of aru+1, find of the next undelivered
+  // seq) are binary searches over a contiguous vector.
   FlatMap<TotemSeq, Mcast> store_;
   TotemSeq my_aru_ = 0;
   TotemSeq delivered_up_to_ = 0;
@@ -345,7 +351,6 @@ class TotemNode {
 
   // Recovery state.
   Commit pending_commit_;
-  FlatMap<TotemSeq, Mcast> recovered_;  // old-ring messages gathered in recovery
   sim::Simulator::EventId recovery_timer_{};
   bool recovery_armed_ = false;
   // Highest old-ring seq any surviving member reported; install is delayed

@@ -191,6 +191,65 @@ TEST(TotemLossTest, RetransmissionsActuallyHappen) {
   EXPECT_EQ(c.delivered[1], c.delivered[0]);
 }
 
+// The store holds only what the safe horizon has not released yet, so its
+// size is set by the rotation window and the loss rate, not by how many
+// messages the ring has carried.
+TEST(TotemLossTest, StoreStaysBoundedAsTheRunGrows) {
+  const TotemConfig tcfg;
+  // Largest store any node holds at any of its token visits.
+  auto peak_stored = [&tcfg](int total) {
+    net::NetworkConfig ncfg;
+    ncfg.loss_probability = 0.02;
+    Cluster c(3, ncfg, tcfg);
+    c.start_all();
+    EXPECT_TRUE(c.converge(2'000'000));
+    std::size_t peak = 0;
+    for (auto& n : c.nodes) {
+      n->set_token_observer([&peak, node = n.get()] { peak = std::max(peak, node->stored()); });
+    }
+    for (int i = 0; i < total; ++i) {
+      c.nodes[static_cast<std::size_t>(i % 3)]->multicast(
+          msg(std::to_string(i % 3) + "." + std::to_string(i / 3)));
+    }
+    const auto all_delivered = [&] {
+      for (std::uint32_t n = 0; n < 3; ++n) {
+        if (c.delivered[n].size() < static_cast<std::size_t>(total)) return false;
+      }
+      return true;
+    };
+    const Micros deadline = c.sim.now() + 120'000'000;
+    while (!all_delivered() && c.sim.now() < deadline) c.sim.run_for(100'000);
+    c.sim.run_for(100'000);  // idle rotations: the horizon catches up
+
+    // Every lost message was retransmitted and delivered in one total order
+    // that keeps each sender's FIFO order.
+    std::uint64_t retrans = 0;
+    for (auto& n : c.nodes) retrans += n->stats().msgs_retransmitted;
+    EXPECT_GT(c.net.stats().packets_dropped, 0u);
+    EXPECT_GT(retrans, 0u);
+    EXPECT_EQ(c.delivered[0].size(), static_cast<std::size_t>(total));
+    for (std::uint32_t n = 1; n < 3; ++n) EXPECT_EQ(c.delivered[n], c.delivered[0]);
+    std::vector<int> next(3, 0);
+    for (const auto& d : c.delivered[0]) {
+      const auto sender = static_cast<std::size_t>(d[0] - '0');
+      EXPECT_EQ(d.substr(2), std::to_string(next[sender]++));
+    }
+    // Once the ring is idle the whole store has been released.
+    for (auto& n : c.nodes) EXPECT_EQ(n->stored(), 0u);
+    return peak;
+  };
+
+  const std::size_t short_run = peak_stored(1'000);
+  const std::size_t long_run = peak_stored(20'000);
+  // A few rotation windows: the two-visit horizon lags the newest message by
+  // about two rotations, and a lost message holds it back for the
+  // retransmission rounds that repair it.
+  const auto bound = static_cast<std::size_t>(4 * tcfg.window_per_rotation);
+  EXPECT_GT(short_run, 0u);
+  EXPECT_LE(short_run, bound);
+  EXPECT_LE(long_run, bound);
+}
+
 TEST(TotemMembershipTest, CrashShrinksTheRing) {
   Cluster c(4);
   c.start_all();

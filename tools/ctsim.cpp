@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -206,7 +207,8 @@ sim::Task kv_loop_sharded(Archipelago& ar, std::size_t r, const Options& o, Hist
   for (int i = 0; i < o.invocations; ++i) {
     co_await ar.ring(r).sim().delay(o.think_us);
     // Draw keys until the local/remote choice matches the configured mix.
-    const bool want_remote = map.rings() > 1 && rng.below(1000) < o.remote_fraction * 1000;
+    const bool want_remote =
+        map.rings() > 1 && static_cast<double>(rng.below(1000)) < o.remote_fraction * 1000;
     std::string key;
     do {
       key = "k" + std::to_string(rng.below(64));
@@ -223,6 +225,29 @@ sim::Task kv_loop_sharded(Archipelago& ar, std::size_t r, const Options& o, Hist
     ++replies;
   }
   done = 1;
+}
+
+// Every live, recovered replica must hold the same state as the first one
+// (every lane's KV digest, or the time server's history); passive backups
+// hold checkpointed state, not live history, so they sit out.
+bool replicas_consistent(Testbed& tb, const Options& o) {
+  bool consistent = true;
+  std::optional<std::uint32_t> first;
+  for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
+    if (!tb.clock_of(tb.server_node(s)).alive() || !tb.server(s).recovered()) continue;
+    if (o.style == replication::ReplicationStyle::kPassive && !tb.server(s).is_primary()) continue;
+    if (!first) {
+      first = s;
+    } else if (o.kv) {
+      for (std::uint32_t sh = 0; sh < tb.server(s).shard_count(); ++sh) {
+        consistent &= static_cast<KvStoreApp&>(tb.server(s).app(sh)).state_digest() ==
+                      static_cast<KvStoreApp&>(tb.server(*first).app(sh)).state_digest();
+      }
+    } else {
+      consistent &= tb.server_app(s).time_history() == tb.server_app(*first).time_history();
+    }
+  }
+  return consistent;
 }
 
 // Multi-ring mode: N Totem rings as parallel islands, each with its own
@@ -324,30 +349,7 @@ int run_archipelago(const Options& o) {
       ring_viol += (stamps[r][i] <= stamps[r][i - 1]);
     }
     violations += ring_viol;
-    bool ring_consistent = true;
-    if (o.kv) {
-      const KvStoreApp* first = nullptr;
-      for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
-        if (!tb.clock_of(tb.server_node(s)).alive() || !tb.server(s).recovered()) continue;
-        if (o.style == replication::ReplicationStyle::kPassive && !tb.server(s).is_primary()) {
-          continue;
-        }
-        auto& a = static_cast<KvStoreApp&>(tb.server(s).app());
-        if (!first) first = &a;
-        else ring_consistent &= (a.state_digest() == first->state_digest());
-      }
-    } else {
-      const TimeServerApp* first = nullptr;
-      for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
-        if (!tb.clock_of(tb.server_node(s)).alive() || !tb.server(s).recovered()) continue;
-        if (o.style == replication::ReplicationStyle::kPassive && !tb.server(s).is_primary()) {
-          continue;
-        }
-        auto& a = tb.server_app(s);
-        if (!first) first = &a;
-        else ring_consistent &= (a.time_history() == first->time_history());
-      }
-    }
+    const bool ring_consistent = replicas_consistent(tb, o);
     consistent &= ring_consistent;
     xring_delivered += ar.stamped_deliveries(r);
     forwards += tb.recorder().counter("gateway.forwards").value;
@@ -479,44 +481,7 @@ int main(int argc, char** argv) {
               (unsigned long long)rounds, (unsigned long long)ccs_wire,
               rounds ? (double)ccs_wire / (double)rounds : 0.0);
 
-  bool consistent = true;
-  if (o.kv) {
-    std::uint64_t digest = 0;
-    bool have = false;
-    for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
-      if (!tb.clock_of(tb.server_node(s)).alive() || !tb.server(s).recovered()) continue;
-      if (o.style == replication::ReplicationStyle::kPassive && !tb.server(s).is_primary()) {
-        continue;
-      }
-      for (std::uint32_t sh = 0; sh < tb.server(s).shard_count(); ++sh) {
-        const auto d = static_cast<KvStoreApp&>(tb.server(s).app(sh)).state_digest();
-        if (!have && sh == 0) {
-          digest = d;
-          have = true;
-        }
-      }
-    }
-    // Pairwise per-shard comparison across live servers.
-    for (std::uint32_t s = 1; s < tb.server_count(); ++s) {
-      if (!tb.clock_of(tb.server_node(s)).alive() || !tb.server(s).recovered()) continue;
-      for (std::uint32_t sh = 0; sh < tb.server(s).shard_count(); ++sh) {
-        consistent &= static_cast<KvStoreApp&>(tb.server(s).app(sh)).state_digest() ==
-                      static_cast<KvStoreApp&>(tb.server(0).app(sh)).state_digest();
-      }
-    }
-    (void)digest;
-  } else {
-    const TimeServerApp* first = nullptr;
-    for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
-      if (!tb.clock_of(tb.server_node(s)).alive() || !tb.server(s).recovered()) continue;
-      if (o.style == replication::ReplicationStyle::kPassive && !tb.server(s).is_primary()) {
-        continue;  // passive backups hold checkpointed state, not live history
-      }
-      auto& a = tb.server_app(s);
-      if (!first) first = &a;
-      else consistent &= (a.time_history() == first->time_history());
-    }
-  }
+  const bool consistent = replicas_consistent(tb, o);
   std::printf("replica state consistent: %s\n", consistent ? "yes" : "NO");
 
   std::printf("\nper-replica detail:\n");
