@@ -114,8 +114,8 @@ std::uint64_t hash_str(std::uint64_t h, const std::string& s) {
 KvStoreApp::KvStoreApp(replication::ReplicaContext& ctx, Options opt)
     : ctx_(ctx),
       sys_(ctx.time, ctx.processing_thread),
-      // The timer thread id must be unique per shard: derive it from the
-      // shard's processing thread (same derivation at every replica).
+      // The timer thread id must be unique per lane: derive it from the
+      // lane's processing thread (same derivation at every replica).
       timers_(ctx.time, ccs::GroupTimerService::Config{
                             ThreadId{ctx.processing_thread.value + 1000}, opt.timer_poll_us}),
       opt_(opt) {
@@ -397,8 +397,8 @@ void KvStoreApp::restore(const Bytes& state) {
   }
 }
 
-std::uint32_t kv_shard_of(const gcs::Message& m) {
-  // Route by key so each key's operations stay on one shard (and therefore
+std::uint32_t kv_lane_of(const gcs::Message& m) {
+  // Route by key so each key's operations stay on one lane (and therefore
   // in one deterministic stream).
   try {
     BytesReader r(m.payload);

@@ -93,8 +93,8 @@ class KvStoreApp : public replication::Replica {
     /// opens a CausalMessenger on the ShardMap's KV handoff stream for
     /// ring `ring`: MIGRATE exports entries to other rings and adoption
     /// installs entries stamped by them.  The map must outlive the app.
-    /// Handoff-enabled managers must run with shards = 1 — the handoff
-    /// stamp stream is per ring, not per processing shard.
+    /// Handoff-enabled managers must run with lanes = 1 — the handoff
+    /// stamp stream is per ring, not per processing lane.
     const ShardMap* shard_map = nullptr;
     std::size_t ring = 0;
   };
@@ -148,8 +148,8 @@ class KvStoreApp : public replication::Replica {
 
 replication::ReplicaFactory kv_store_factory(KvStoreApp::Options opt = {});
 
-/// Deterministic request→shard routing for sharded KV deployments: hashes
+/// Deterministic request→lane routing for multi-lane KV replicas: hashes
 /// the key, so all operations on one key share one processing thread.
-std::uint32_t kv_shard_of(const gcs::Message& m);
+std::uint32_t kv_lane_of(const gcs::Message& m);
 
 }  // namespace cts::app

@@ -80,7 +80,7 @@ std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
 SessionManagerApp::SessionManagerApp(replication::ReplicaContext& ctx, Options opt)
     : ctx_(ctx),
       sys_(ctx.time, ctx.processing_thread),
-      // Derived thread ids keep shards (and other apps on the same
+      // Derived thread ids keep lanes (and other apps on the same
       // service) from colliding; same derivation at every replica.
       timers_(ctx.time,
               ccs::GroupTimerService::Config{ThreadId{ctx.processing_thread.value + 2000}, 1'000}),

@@ -79,7 +79,7 @@ class SessionManagerApp : public replication::Replica {
   struct Options {
     /// Sharded deployment (nullptr = single-ring, no handoff stream; see
     /// KvStoreApp::Options for the contract — the map must outlive the
-    /// app, and handoff-enabled managers must run with shards = 1).
+    /// app, and handoff-enabled managers must run with lanes = 1).
     const ShardMap* shard_map = nullptr;
     std::size_t ring = 0;
   };

@@ -59,10 +59,10 @@ struct TestbedConfig {
   /// Passive replication checkpoint cadence (requests).
   std::uint32_t checkpoint_every = 0;
 
-  /// Request-processing shards per replica and the routing function
+  /// Request-processing lanes per replica and the routing function
   /// (active/semi-active only).
-  std::uint32_t shards = 1;
-  std::function<std::uint32_t(const gcs::Message&)> shard_fn;
+  std::uint32_t lanes = 1;
+  std::function<std::uint32_t(const gcs::Message&)> lane_fn;
 
   /// Give every server host a simulated local disk and persist checkpoints
   /// to it, enabling cold starts after a total failure.
@@ -135,8 +135,8 @@ class Testbed {
       mcfg.mean_delay_us = cfg_.mean_delay_us;
       mcfg.reference_gain = cfg_.reference_gain;
       mcfg.checkpoint_every_requests = cfg_.checkpoint_every;
-      mcfg.shards = cfg_.shards;
-      mcfg.shard_fn = cfg_.shard_fn;
+      mcfg.lanes = cfg_.lanes;
+      mcfg.lane_fn = cfg_.lane_fn;
       mcfg.get_state_retry_us = cfg_.get_state_retry_us;
       if (cfg_.with_stable_storage) {
         mcfg.stable_store = stores_[s].get();

@@ -7,7 +7,7 @@
 // header is the single place that wiring is DECLARED: which groups live on
 // which ring, how keys and sessions map onto rings, which connection ids
 // and stamp streams the cross-ring protocols use, and how per-ring seeds
-// are derived.  Testbed/Archipelago/ctsim/ctsweep/bench all consume the
+// are derived.  Testbed/Archipelago/ctsim/bench all consume the
 // same ShardMap instead of hand-building per-ring constants, so a topology
 // change (more rings, more replicas) is one struct edit, not a sweep over
 // five call sites.

@@ -1,6 +1,7 @@
 #include "replication/replica_manager.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "common/logging.hpp"
 
@@ -19,8 +20,8 @@ const char* const kCheckpointKey = "replica-checkpoint";
 /// without applying it.  Throws CodecError on a malformed snapshot.
 std::uint64_t peek_covered(std::span<const std::uint8_t> snapshot) {
   BytesReader r(snapshot);
-  const auto shard_count = r.u32();
-  for (std::uint32_t i = 0; i < shard_count; ++i) r.skip(r.u32());  // app states
+  const auto lane_count = r.u32();
+  for (std::uint32_t i = 0; i < lane_count; ++i) r.skip(r.u32());  // app states
   r.skip(r.u32());                                                  // cts state
   return r.u64();
 }
@@ -44,18 +45,19 @@ ReplicaManager::ReplicaManager(sim::Simulator& sim, gcs::GcsEndpoint& gcs,
         c.reference_gain = cfg.reference_gain;
         return c;
       }()) {
-  assert(cfg_.shards >= 1);
-  assert((cfg_.shards == 1 || cfg_.style != ReplicationStyle::kPassive) &&
-         "sharded processing is supported for active/semi-active replication");
+  if (cfg_.lanes < 1 || (cfg_.lanes > 1 && cfg_.style == ReplicationStyle::kPassive)) {
+    throw std::invalid_argument("ReplicaManager: passive replication takes exactly one lane, "
+                                "active/semi-active at least one");
+  }
 
-  // Create the shards in index order — the paper's requirement that threads
+  // Create the lanes in index order — the paper's requirement that threads
   // be created in the same order at every replica.
-  shards_.resize(cfg_.shards);
-  for (std::uint32_t i = 0; i < cfg_.shards; ++i) {
+  lanes_.resize(cfg_.lanes);
+  for (std::uint32_t i = 0; i < cfg_.lanes; ++i) {
     const ThreadId thread{cfg_.processing_thread.value + i};
-    shards_[i].ctx = std::make_unique<ReplicaContext>(
+    lanes_[i].ctx = std::make_unique<ReplicaContext>(
         ReplicaContext{sim, cts_, cfg_.group, cfg_.replica, thread, clk, &gcs_});
-    shards_[i].app = factory(*shards_[i].ctx);
+    lanes_[i].app = factory(*lanes_[i].ctx);
     cts_.register_thread(thread);
   }
 
@@ -72,7 +74,7 @@ ReplicaManager::~ReplicaManager() {
   // the manager; cancellation consumes no sequence numbers, so surviving
   // events keep their positions in the deterministic schedule.
   if (get_state_armed_) scope_.cancel(get_state_timer_);
-  for (auto& sh : shards_) {
+  for (auto& sh : lanes_) {
     if (sh.pump_armed) scope_.cancel(sh.pump_event);
   }
 }
@@ -117,7 +119,7 @@ void ReplicaManager::send_get_state() {
   // and re-arm the queue discipline on the new epoch.  (On the first issue
   // the queues are empty and this is a no-op.)
   saw_own_get_state_ = false;
-  for (auto& sh : shards_) sh.queue.clear();
+  for (auto& sh : lanes_) sh.queue.clear();
 
   gcs::Message m;
   m.hdr.type = gcs::MsgType::kGetState;
@@ -230,8 +232,8 @@ void ReplicaManager::on_view(const gcs::GroupView& v) {
       // Replay the logged requests the old primary never checkpointed.
       // Clock reads during replay consume the CCS messages the old primary
       // already distributed, so the group clock stays continuous.
-      auto& shard = shards_[0];  // passive is single-sharded
-      for (auto it = log_.rbegin(); it != log_.rend(); ++it) shard.queue.push_front(*it);
+      auto& lane = lanes_[0];  // passive is single-lane
+      for (auto it = log_.rbegin(); it != log_.rend(); ++it) lane.queue.push_front(*it);
       stats_.requests_replayed += log_.size();
       log_.clear();
       pump(0);
@@ -250,9 +252,9 @@ bool ReplicaManager::should_process() const {
   return true;  // active & semi-active: everyone processes
 }
 
-std::uint32_t ReplicaManager::shard_of(const gcs::Message& m) const {
-  if (shards_.size() == 1) return 0;
-  if (cfg_.shard_fn) return cfg_.shard_fn(m) % static_cast<std::uint32_t>(shards_.size());
+std::uint32_t ReplicaManager::lane_of(const gcs::Message& m) const {
+  if (lanes_.size() == 1) return 0;
+  if (cfg_.lane_fn) return cfg_.lane_fn(m) % static_cast<std::uint32_t>(lanes_.size());
   return 0;
 }
 
@@ -261,14 +263,14 @@ void ReplicaManager::on_request(const gcs::Message& m) {
     // Requests ordered before our GET_STATE are covered by the checkpoint;
     // queue only what comes after.
     if (saw_own_get_state_) {
-      shards_[shard_of(m)].queue.push_back(PendingRequest{m, 0});
+      lanes_[lane_of(m)].queue.push_back(PendingRequest{m, 0});
     }
     return;
   }
   ++delivery_count_;
   if (should_process()) {
-    const auto s = shard_of(m);
-    shards_[s].queue.push_back(PendingRequest{m, delivery_count_});
+    const auto s = lane_of(m);
+    lanes_[s].queue.push_back(PendingRequest{m, delivery_count_});
     pump(s);
   } else if (cfg_.style == ReplicationStyle::kPassive) {
     log_.push_back(PendingRequest{m, delivery_count_});
@@ -276,12 +278,12 @@ void ReplicaManager::on_request(const gcs::Message& m) {
   }
 }
 
-void ReplicaManager::pump(std::uint32_t shard) {
-  Shard& sh = shards_[shard];
+void ReplicaManager::pump(std::uint32_t lane) {
+  Lane& sh = lanes_[lane];
   if (sh.processing || sh.at_barrier || sh.queue.empty()) return;
 
   if (sh.queue.front().msg.hdr.type == gcs::MsgType::kGetState) {
-    // Barrier: this shard is quiescent for the pending state transfer.
+    // Barrier: this lane is quiescent for the pending state transfer.
     sh.at_barrier = true;
     maybe_serve_barrier();
     return;
@@ -290,12 +292,12 @@ void ReplicaManager::pump(std::uint32_t shard) {
   sh.processing = true;
   PendingRequest req = std::move(sh.queue.front());
   sh.queue.pop_front();
-  process(shard, std::move(req));
+  process(lane, std::move(req));
 }
 
-void ReplicaManager::process(std::uint32_t shard, PendingRequest req) {
+void ReplicaManager::process(std::uint32_t lane, PendingRequest req) {
   const gcs::Message request = req.msg;
-  shards_[shard].app->handle_request(request.payload, [this, shard, request](Bytes reply) {
+  lanes_[lane].app->handle_request(request.payload, [this, lane, request](Bytes reply) {
     ++stats_.requests_processed;
     ++processed_count_;
     ++since_checkpoint_;
@@ -321,7 +323,7 @@ void ReplicaManager::process(std::uint32_t shard, PendingRequest req) {
         since_checkpoint_ >= cfg_.checkpoint_every_requests) {
       take_periodic_checkpoint();
     }
-    Shard& sh = shards_[shard];
+    Lane& sh = lanes_[lane];
     sh.processing = false;
     maybe_persist_after_request();
     // Trampoline through the event queue so long synchronous bursts do not
@@ -329,9 +331,9 @@ void ReplicaManager::process(std::uint32_t shard, PendingRequest req) {
     // cancels it instead of pumping a dead replica.
     if (!sh.pump_armed) {
       sh.pump_armed = true;
-      sh.pump_event = scope_.after(0, [this, shard] {
-        shards_[shard].pump_armed = false;
-        pump(shard);
+      sh.pump_event = scope_.after(0, [this, lane] {
+        lanes_[lane].pump_armed = false;
+        pump(lane);
       });
     }
   });
@@ -355,8 +357,8 @@ void ReplicaManager::send_reply(const gcs::Message& request, const Bytes& reply)
 
 Bytes ReplicaManager::full_checkpoint() const {
   BytesWriter w;
-  w.u32(static_cast<std::uint32_t>(shards_.size()));
-  for (const auto& sh : shards_) w.bytes(sh.app->checkpoint());
+  w.u32(static_cast<std::uint32_t>(lanes_.size()));
+  for (const auto& sh : lanes_) w.bytes(sh.app->checkpoint());
   w.bytes(cts_.checkpoint());
   w.u64(processed_count_);  // requests covered by this checkpoint
   return std::move(w).take();
@@ -392,11 +394,11 @@ std::optional<DecodedCheckpoint> ReplicaManager::verify_state_payload(
 
 void ReplicaManager::apply_full_checkpoint(std::span<const std::uint8_t> state) {
   BytesReader r(state);
-  const auto shard_count = r.u32();
-  assert(shard_count == shards_.size() && "checkpoint shard layout mismatch");
-  for (std::uint32_t i = 0; i < shard_count; ++i) {
+  const auto lane_count = r.u32();
+  assert(lane_count == lanes_.size() && "checkpoint lane layout mismatch");
+  for (std::uint32_t i = 0; i < lane_count; ++i) {
     const Bytes app_state = r.bytes();
-    shards_[i].app->restore(app_state);
+    lanes_[i].app->restore(app_state);
   }
   const Bytes cts_state = r.bytes();
   const std::uint64_t covered = r.u64();
@@ -412,11 +414,11 @@ void ReplicaManager::apply_full_checkpoint(std::span<const std::uint8_t> state) 
   if (recovering_) {
     // Renumber the queued requests with group-consistent delivery indexes:
     // everything queued was ordered after GET_STATE, i.e. after `covered`.
-    // (Re-deliver in a merged pass to keep per-shard FIFO order intact —
+    // (Re-deliver in a merged pass to keep per-lane FIFO order intact —
     // queues were filled in delivery order already, so only the indexes
     // need fixing.)
     delivery_count_ = covered;
-    for (auto& sh : shards_) {
+    for (auto& sh : lanes_) {
       for (auto& q : sh.queue) q.delivery_index = ++delivery_count_;
     }
   } else {
@@ -435,22 +437,22 @@ void ReplicaManager::on_get_state(const gcs::Message& m) {
   }
   // Passive backups do not serve state transfer (they may be stale); the
   // primary — and, for active/semi-active, every replica — handles
-  // GET_STATE at a quiescent point: the barrier entry stalls each shard
-  // until all shards drained everything ordered before it.
+  // GET_STATE at a quiescent point: the barrier entry stalls each lane
+  // until all lanes drained everything ordered before it.
   if (!should_process()) return;
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].queue.push_back(PendingRequest{m, 0});
+  for (std::uint32_t s = 0; s < lanes_.size(); ++s) {
+    lanes_[s].queue.push_back(PendingRequest{m, 0});
     pump(s);
   }
 }
 
 void ReplicaManager::maybe_serve_barrier() {
-  for (const auto& sh : shards_) {
+  for (const auto& sh : lanes_) {
     if (!sh.at_barrier) return;  // someone is still draining
   }
-  // Global quiescence: all shards stalled on the same (totally ordered)
-  // GET_STATE.  Serve it once, then release every shard.
-  const gcs::Message get_state = shards_[0].queue.front().msg;
+  // Global quiescence: all lanes stalled on the same (totally ordered)
+  // GET_STATE.  Serve it once, then release every lane.
+  const gcs::Message get_state = lanes_[0].queue.front().msg;
   serve_state_transfer(get_state);
 }
 
@@ -483,15 +485,15 @@ void ReplicaManager::serve_state_transfer(const gcs::Message& get_state) {
                   static_cast<std::int64_t>(ckpt_bytes));
     }
     // Release the barriers (scope-owned trampolines, same as pump()).
-    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-      Shard& sh = shards_[s];
+    for (std::uint32_t s = 0; s < lanes_.size(); ++s) {
+      Lane& sh = lanes_[s];
       assert(sh.at_barrier && !sh.queue.empty());
       sh.queue.pop_front();
       sh.at_barrier = false;
       if (!sh.pump_armed) {
         sh.pump_armed = true;
         sh.pump_event = scope_.after(0, [this, s] {
-          shards_[s].pump_armed = false;
+          lanes_[s].pump_armed = false;
           pump(s);
         });
       }
@@ -509,8 +511,8 @@ void ReplicaManager::maybe_persist_after_request() {
   if (cfg_.stable_store == nullptr || cfg_.persist_every_requests == 0) return;
   if (processed_count_ < persist_low_water_ + cfg_.persist_every_requests) return;
   // Persist only from a globally quiescent instant so the snapshot is not
-  // torn across concurrently-processing shards.
-  for (const auto& sh : shards_) {
+  // torn across concurrently-processing lanes.
+  for (const auto& sh : lanes_) {
     if (sh.processing) return;  // try again after the next completion
   }
   persist_low_water_ = processed_count_;
@@ -568,7 +570,7 @@ void ReplicaManager::on_state(const gcs::Message& m) {
     recovering_ = false;
     gcs_.join_group(cfg_.group, cfg_.replica);  // now a full member
     std::size_t queued = 0;
-    for (auto& sh : shards_) queued += sh.queue.size();
+    for (auto& sh : lanes_) queued += sh.queue.size();
     CTS_INFO() << "replica " << to_string(cfg_.replica) << " recovered (" << queued
                << " queued requests to drain)";
     if (rec_) {
@@ -581,7 +583,7 @@ void ReplicaManager::on_state(const gcs::Message& m) {
       recovered_cb_ = nullptr;
       cb();
     }
-    for (std::uint32_t s = 0; s < shards_.size(); ++s) pump(s);
+    for (std::uint32_t s = 0; s < lanes_.size(); ++s) pump(s);
     return;
   }
   auto d = verify_state_payload(m.payload);

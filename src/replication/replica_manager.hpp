@@ -54,19 +54,19 @@ struct ManagerConfig {
   ConnectionId ccs_conn{1000};
   ConnectionId state_conn{1001};
 
-  /// The first request-processing thread's identifier; shard i uses
+  /// The first request-processing thread's identifier; lane i uses
   /// processing_thread.value + i.
   ThreadId processing_thread{0};
 
-  /// Number of request-processing shards (logical threads).  Each shard is
+  /// Number of request-processing lanes (logical threads).  Each lane is
   /// its own application instance with its own CCS handler stream; requests
-  /// are routed by `shard_fn`.  The paper requires threads to be created in
-  /// the same order at every replica — shards satisfy that by construction.
-  /// Sharding > 1 is supported for active and semi-active replication.
-  std::uint32_t shards = 1;
-  /// Deterministic request→shard routing (a pure function of the ordered
-  /// message).  Default: everything to shard 0.
-  std::function<std::uint32_t(const gcs::Message&)> shard_fn;
+  /// are routed by `lane_fn`.  The paper requires threads to be created in
+  /// the same order at every replica — lanes satisfy that by construction.
+  /// More than one lane is supported for active and semi-active replication.
+  std::uint32_t lanes = 1;
+  /// Deterministic request→lane routing (a pure function of the ordered
+  /// message).  Default: everything to lane 0.
+  std::function<std::uint32_t(const gcs::Message&)> lane_fn;
 
   /// Passive: primary checkpoints after this many processed requests
   /// (0 = checkpoint only for state transfer, never periodically).
@@ -83,7 +83,7 @@ struct ManagerConfig {
   storage::StableStore* stable_store = nullptr;
   /// Persist a local checkpoint every N processed requests (0 = only when
   /// a checkpoint is taken/applied for other reasons).  Persisting waits
-  /// for a moment when every shard is idle.
+  /// for a moment when every lane is idle.
   std::uint32_t persist_every_requests = 0;
 
   /// How long a recovering replica waits for the checkpoint before
@@ -141,9 +141,9 @@ class ReplicaManager {
   [[nodiscard]] bool recovered() const { return !recovering_; }
   [[nodiscard]] const ManagerStats& stats() const { return stats_; }
   [[nodiscard]] ccs::ConsistentTimeService& time_service() { return cts_; }
-  /// The application instance of shard `i` (shard 0 by default).
-  [[nodiscard]] Replica& app(std::uint32_t shard = 0) { return *shards_[shard].app; }
-  [[nodiscard]] std::uint32_t shard_count() const { return static_cast<std::uint32_t>(shards_.size()); }
+  /// The application instance of lane `i` (lane 0 by default).
+  [[nodiscard]] Replica& app(std::uint32_t lane = 0) { return *lanes_[lane].app; }
+  [[nodiscard]] std::uint32_t lane_count() const { return static_cast<std::uint32_t>(lanes_.size()); }
   [[nodiscard]] const ManagerConfig& config() const { return cfg_; }
   /// The hash-chained checkpoint history (newest last; see checkpoint_chain.hpp).
   [[nodiscard]] const std::vector<CheckpointHeader>& checkpoint_chain() const { return chain_; }
@@ -169,10 +169,10 @@ class ReplicaManager {
   void on_get_state(const gcs::Message& m);
   void on_state(const gcs::Message& m);
 
-  void pump(std::uint32_t shard);
-  void process(std::uint32_t shard, PendingRequest req);
+  void pump(std::uint32_t lane);
+  void process(std::uint32_t lane, PendingRequest req);
   void maybe_serve_barrier();
-  [[nodiscard]] std::uint32_t shard_of(const gcs::Message& m) const;
+  [[nodiscard]] std::uint32_t lane_of(const gcs::Message& m) const;
   void serve_state_transfer(const gcs::Message& get_state);
   void take_periodic_checkpoint();
   void persist_locally();
@@ -213,22 +213,22 @@ class ReplicaManager {
   sim::Simulator::EventId get_state_timer_{};
   bool get_state_armed_ = false;
 
-  // Per-shard serialized request processing; shards run concurrently.
-  // A kGetState entry acts as a barrier: the shard stalls on it until
-  // every shard has reached its copy (global quiescence), the state
+  // Per-lane serialized request processing; lanes run concurrently.
+  // A kGetState entry acts as a barrier: the lane stalls on it until
+  // every lane has reached its copy (global quiescence), the state
   // transfer is served, and the barriers are released together.
-  struct Shard {
+  struct Lane {
     std::unique_ptr<ReplicaContext> ctx;
     std::unique_ptr<Replica> app;
     std::deque<PendingRequest> queue;
     bool processing = false;
     bool at_barrier = false;
     // The pump trampoline through the event queue (at most one in flight
-    // per shard), scope-owned like every other node event.
+    // per lane), scope-owned like every other node event.
     sim::Simulator::EventId pump_event{};
     bool pump_armed = false;
   };
-  std::vector<Shard> shards_;
+  std::vector<Lane> lanes_;
   std::uint64_t delivery_count_ = 0;   // requests delivered so far (total order)
   std::uint64_t processed_count_ = 0;  // requests fully processed here
 

@@ -200,8 +200,8 @@ TEST(DeterminismTest, KvWorkloadIdenticalAcrossRuns) {
     TestbedConfig cfg;
     cfg.seed = seed;
     cfg.factory = kv_store_factory();
-    cfg.shards = 2;
-    cfg.shard_fn = kv_shard_of;
+    cfg.lanes = 2;
+    cfg.lane_fn = kv_lane_of;
     Testbed tb(cfg);
     tb.start();
     Rng rng(99);

@@ -321,7 +321,7 @@ ScenarioResult run_scenario(Scenario sc, std::uint64_t seed) {
   ScenarioResult out;
   for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
     if (!tb.clock_of(tb.server_node(s)).alive()) continue;
-    for (std::uint32_t sh = 0; sh < tb.server(s).shard_count(); ++sh) {
+    for (std::uint32_t sh = 0; sh < tb.server(s).lane_count(); ++sh) {
       out.digests.push_back(static_cast<app::KvStoreApp&>(tb.server(s).app(sh)).state_digest());
     }
   }
@@ -357,8 +357,8 @@ TEST(FlatContainerDoubleRun, ShardedScenarioByteIdentical) {
     app::TestbedConfig cfg;
     cfg.seed = 45;
     cfg.factory = app::kv_store_factory();
-    cfg.shards = 4;
-    cfg.shard_fn = app::kv_shard_of;
+    cfg.lanes = 4;
+    cfg.lane_fn = app::kv_lane_of;
     app::Testbed tb(cfg);
     tb.start();
 
@@ -379,7 +379,7 @@ TEST(FlatContainerDoubleRun, ShardedScenarioByteIdentical) {
 
     ScenarioResult out;
     for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
-      for (std::uint32_t sh = 0; sh < tb.server(s).shard_count(); ++sh) {
+      for (std::uint32_t sh = 0; sh < tb.server(s).lane_count(); ++sh) {
         out.digests.push_back(
             static_cast<app::KvStoreApp&>(tb.server(s).app(sh)).state_digest());
       }

@@ -12,7 +12,7 @@ namespace {
 
 struct FuzzParam {
   std::uint64_t seed;
-  std::uint32_t shards;
+  std::uint32_t lanes;
   replication::ReplicationStyle style;
 };
 
@@ -25,8 +25,8 @@ TEST_P(KvCrashFuzz, LiveReplicasNeverDiverge) {
   cfg.seed = p.seed;
   cfg.style = p.style;
   cfg.factory = kv_store_factory();
-  cfg.shards = p.shards;
-  if (p.shards > 1) cfg.shard_fn = kv_shard_of;
+  cfg.lanes = p.lanes;
+  if (p.lanes > 1) cfg.lane_fn = kv_lane_of;
   if (p.style == replication::ReplicationStyle::kPassive) cfg.checkpoint_every = 6;
   Testbed tb(cfg);
   tb.start();
@@ -112,7 +112,7 @@ TEST_P(KvCrashFuzz, LiveReplicasNeverDiverge) {
   EXPECT_EQ(answered, issued) << "seed " << p.seed << ": dropped replies";
   tb.sim().run_for(5'000'000);
   for (std::uint32_t s = 1; s < 3; ++s) {
-    for (std::uint32_t sh = 0; sh < tb.server(s).shard_count(); ++sh) {
+    for (std::uint32_t sh = 0; sh < tb.server(s).lane_count(); ++sh) {
       if (p.style == replication::ReplicationStyle::kPassive && !tb.server(s).is_primary()) {
         continue;
       }
@@ -137,7 +137,7 @@ INSTANTIATE_TEST_SUITE_P(
       const char* style =
           i.param.style == replication::ReplicationStyle::kActive ? "active" : "semiactive";
       return std::string("seed") + std::to_string(i.param.seed) + "_" + style + "_sh" +
-             std::to_string(i.param.shards);
+             std::to_string(i.param.lanes);
     });
 
 }  // namespace

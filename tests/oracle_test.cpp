@@ -298,7 +298,7 @@ namespace {
 struct OracleFuzzParam {
   std::uint64_t seed;
   double loss;
-  std::uint32_t shards;
+  std::uint32_t lanes;
 };
 
 class OracleCrashFuzz : public ::testing::TestWithParam<OracleFuzzParam> {};
@@ -312,8 +312,8 @@ TEST_P(OracleCrashFuzz, RandomizedFaultScheduleStaysClean) {
   cfg.servers = 3;
   cfg.seed = p.seed;
   cfg.factory = kv_store_factory();
-  cfg.shards = p.shards;
-  if (p.shards > 1) cfg.shard_fn = kv_shard_of;
+  cfg.lanes = p.lanes;
+  if (p.lanes > 1) cfg.lane_fn = kv_lane_of;
   cfg.net.loss_probability = p.loss;
   Testbed tb(cfg);
   tb.start();
@@ -378,7 +378,7 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<OracleFuzzParam>& i) {
       return "seed" + std::to_string(i.param.seed) + "_loss" +
              std::to_string(static_cast<int>(i.param.loss * 100)) + "_sh" +
-             std::to_string(i.param.shards);
+             std::to_string(i.param.lanes);
     });
 
 }  // namespace

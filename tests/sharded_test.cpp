@@ -1,7 +1,7 @@
-// Tests for sharded (multi-threaded) replicas: each shard is a logical
+// Tests for multi-lane (multi-threaded) replicas: each lane is a logical
 // thread with its own CCS handler stream, requests route deterministically
-// by key, shards process concurrently, and the GET_STATE barrier brings
-// all shards to quiescence for state transfer (paper Sections 2 and 3.2).
+// by key, lanes process concurrently, and the GET_STATE barrier brings
+// all lanes to quiescence for state transfer (paper Sections 2 and 3.2).
 #include <gtest/gtest.h>
 
 #include "app/kv_store.hpp"
@@ -10,21 +10,21 @@
 namespace cts::app {
 namespace {
 
-struct ShardedKv {
+struct MultiLaneKv {
   Testbed tb;
 
-  explicit ShardedKv(std::uint32_t shards, std::size_t servers = 3, std::uint64_t seed = 1)
-      : tb(make_cfg(shards, servers, seed)) {
+  explicit MultiLaneKv(std::uint32_t lanes, std::size_t servers = 3, std::uint64_t seed = 1)
+      : tb(make_cfg(lanes, servers, seed)) {
     tb.start();
   }
 
-  static TestbedConfig make_cfg(std::uint32_t shards, std::size_t servers, std::uint64_t seed) {
+  static TestbedConfig make_cfg(std::uint32_t lanes, std::size_t servers, std::uint64_t seed) {
     TestbedConfig cfg;
     cfg.servers = servers;
     cfg.seed = seed;
     cfg.factory = kv_store_factory();
-    cfg.shards = shards;
-    cfg.shard_fn = kv_shard_of;
+    cfg.lanes = lanes;
+    cfg.lane_fn = kv_lane_of;
     return cfg;
   }
 
@@ -41,76 +41,76 @@ struct ShardedKv {
     return out;
   }
 
-  KvStoreApp& shard_app(std::uint32_t server, std::uint32_t shard) {
-    return static_cast<KvStoreApp&>(tb.server(server).app(shard));
+  KvStoreApp& lane_app(std::uint32_t server, std::uint32_t lane) {
+    return static_cast<KvStoreApp&>(tb.server(server).app(lane));
   }
 
-  void expect_all_shards_identical() {
+  void expect_all_lanes_identical() {
     tb.sim().run_for(2'000'000);
     for (std::uint32_t s = 1; s < tb.server_count(); ++s) {
       if (!tb.clock_of(tb.server_node(s)).alive()) continue;
-      for (std::uint32_t sh = 0; sh < tb.server(s).shard_count(); ++sh) {
-        EXPECT_EQ(shard_app(s, sh).state_digest(), shard_app(0, sh).state_digest())
-            << "server " << s << " shard " << sh << " diverged";
+      for (std::uint32_t sh = 0; sh < tb.server(s).lane_count(); ++sh) {
+        EXPECT_EQ(lane_app(s, sh).state_digest(), lane_app(0, sh).state_digest())
+            << "server " << s << " lane " << sh << " diverged";
       }
     }
   }
 };
 
 TEST(ShardedTest, FourShardsServeDisjointKeys) {
-  ShardedKv kv(4);
+  MultiLaneKv kv(4);
   for (int i = 0; i < 40; ++i) {
     EXPECT_EQ(kv.call(kv_put("key" + std::to_string(i), "v" + std::to_string(i))).status,
               KvStatus::kOk);
   }
-  // Keys spread across shards; every shard holds something.
+  // Keys spread across lanes; every lane holds something.
   std::size_t total = 0;
   int populated = 0;
   for (std::uint32_t sh = 0; sh < 4; ++sh) {
-    total += kv.shard_app(0, sh).key_count();
-    populated += kv.shard_app(0, sh).key_count() > 0;
+    total += kv.lane_app(0, sh).key_count();
+    populated += kv.lane_app(0, sh).key_count() > 0;
   }
   EXPECT_EQ(total, 40u);
-  EXPECT_GE(populated, 3);  // 40 hashed keys essentially never land in <3 of 4 shards
-  kv.expect_all_shards_identical();
+  EXPECT_GE(populated, 3);  // 40 hashed keys essentially never land in <3 of 4 lanes
+  kv.expect_all_lanes_identical();
 }
 
 TEST(ShardedTest, SameKeyAlwaysSameShard) {
-  ShardedKv kv(4);
+  MultiLaneKv kv(4);
   kv.call(kv_put("stable-key", "v1"));
   kv.call(kv_put("stable-key", "v2"));
   kv.call(kv_put("stable-key", "v3"));
   const KvReply g = kv.call(kv_get("stable-key"));
-  EXPECT_EQ(g.version, 3u);  // all three writes hit the same shard state
+  EXPECT_EQ(g.version, 3u);  // all three writes hit the same lane state
   EXPECT_EQ(g.value, "v3");
 }
 
 TEST(ShardedTest, LeasesWorkPerShardWithDistinctClockThreads) {
-  ShardedKv kv(4);
-  // Leases on several keys (distinct shards, distinct CCS handler streams).
+  MultiLaneKv kv(4);
+  // Leases on several keys (distinct lanes, distinct CCS handler streams).
   for (int i = 0; i < 8; ++i) {
     ASSERT_EQ(kv.call(kv_acquire("lock" + std::to_string(i), 1, 20'000)).status, KvStatus::kOk);
   }
   kv.tb.sim().run_for(300'000);
-  // Every lease expired, identically at all replicas and shards.
+  // Every lease expired, identically at all replicas and lanes.
   std::uint64_t expired = 0;
-  for (std::uint32_t sh = 0; sh < 4; ++sh) expired += kv.shard_app(0, sh).leases_expired();
+  for (std::uint32_t sh = 0; sh < 4; ++sh) expired += kv.lane_app(0, sh).leases_expired();
   EXPECT_EQ(expired, 8u);
-  kv.expect_all_shards_identical();
+  kv.expect_all_lanes_identical();
 }
 
 TEST(ShardedTest, ShardsProcessConcurrently) {
-  // One slow (lease => CCS round) op per shard, issued back-to-back: with
-  // concurrent shards the total time is far below 4x one op.
-  ShardedKv kv(4);
-  // Find 4 keys that land in 4 distinct shards.
+  // One slow (lease => CCS round) op per lane, issued back-to-back: with
+  // concurrent lanes the total time is far below 4x one op.
+  MultiLaneKv kv(4);
+  // Find 4 keys that land in 4 distinct lanes.
   std::vector<std::string> keys;
   std::set<std::uint32_t> used;
   for (int i = 0; keys.size() < 4 && i < 1000; ++i) {
     const std::string k = "probe" + std::to_string(i);
     gcs::Message m;
     m.payload = kv_acquire(k, 1, 1000);
-    const auto sh = kv_shard_of(m) % 4;
+    const auto sh = kv_lane_of(m) % 4;
     if (used.insert(sh).second) keys.push_back(k);
   }
   ASSERT_EQ(keys.size(), 4u);
@@ -130,8 +130,8 @@ TEST(ShardedTest, ShardsProcessConcurrently) {
   while (done < 4) kv.tb.sim().run_until(kv.tb.sim().now() + 10'000);
   const Micros elapsed_concurrent = last_reply - t0;
 
-  // Baseline: the same four ops on a single-sharded deployment.
-  ShardedKv kv1(1, 3, 2);
+  // Baseline: the same four ops on a single-lane deployment.
+  MultiLaneKv kv1(1, 3, 2);
   int done1 = 0;
   Micros last_reply1 = 0;
   const Micros t1 = kv1.tb.sim().now();
@@ -148,7 +148,7 @@ TEST(ShardedTest, ShardsProcessConcurrently) {
 }
 
 TEST(ShardedTest, RecoveryBarrierBringsAllShardsToQuiescence) {
-  ShardedKv kv(4);
+  MultiLaneKv kv(4);
   for (int i = 0; i < 30; ++i) {
     kv.call(kv_put("key" + std::to_string(i), "v"));
   }
@@ -166,13 +166,13 @@ TEST(ShardedTest, RecoveryBarrierBringsAllShardsToQuiescence) {
   ASSERT_TRUE(recovered);
 
   kv.call(kv_put("post-recovery", "y"));
-  kv.expect_all_shards_identical();
+  kv.expect_all_lanes_identical();
   // The still-live lease is enforced at the recovered replica too.
   EXPECT_EQ(kv.call(kv_put("key3", "intrude", 1)).status, KvStatus::kLeaseHeld);
 }
 
 TEST(ShardedTest, MixedShardedWorkloadNeverDiverges) {
-  ShardedKv kv(3, 3, 5);
+  MultiLaneKv kv(3, 3, 5);
   Rng rng(44);
   for (int i = 0; i < 80; ++i) {
     const std::string key = "k" + std::to_string(rng.below(12));
@@ -191,7 +191,7 @@ TEST(ShardedTest, MixedShardedWorkloadNeverDiverges) {
         break;
     }
   }
-  kv.expect_all_shards_identical();
+  kv.expect_all_lanes_identical();
 }
 
 TEST(ShardedTest, SemiActiveShardedWorks) {
@@ -199,8 +199,8 @@ TEST(ShardedTest, SemiActiveShardedWorks) {
   cfg.servers = 3;
   cfg.style = replication::ReplicationStyle::kSemiActive;
   cfg.factory = kv_store_factory();
-  cfg.shards = 2;
-  cfg.shard_fn = kv_shard_of;
+  cfg.lanes = 2;
+  cfg.lane_fn = kv_lane_of;
   Testbed tb(cfg);
   tb.start();
   KvReply out;

@@ -41,6 +41,15 @@ KNOWN_BENCHMARKS = frozenset({
     "BM_ScenarioSweep",
     # PR 9: sharded topology + gateway routing.
     "BM_ShardedGatewayOpsPerSec",
+    # Codec, RNG, histogram and whole-stack rows folded in from bench_micro.
+    "BM_BytesWriterSmallMessage",
+    "BM_BytesReaderSmallMessage",
+    "BM_CcsPayloadRoundTrip",
+    "BM_GcsHeaderRoundTrip",
+    "BM_RngNext",
+    "BM_RngGaussian",
+    "BM_HistogramAdd",
+    "BM_FullStackSimulationSpeed",
 })
 
 # Optimization PRs whose before/after pair is part of the recorded history:
