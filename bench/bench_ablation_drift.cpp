@@ -59,7 +59,7 @@ std::vector<Micros> run(ccs::DriftCompensation strategy, Micros mean_delay, doub
   tb.client().invoke(make_burst_request(kRounds), [&](const Bytes&) { done = true; });
   while (!done) tb.sim().run_until(tb.sim().now() + 1'000'000);
   static int obs_run = 0;
-  obs::export_from_env(tb.recorder(), "bench_ablation_drift.run" + std::to_string(obs_run++));
+  obs::export_from_env({&tb.recorder()}, "bench_ablation_drift.run" + std::to_string(obs_run++));
   return drift_at;
 }
 

@@ -163,7 +163,7 @@ Micros cts_trial(std::uint64_t seed) {
   }
   if (!crashed || times.size() < 12) return 0;
   static int obs_run = 0;
-  obs::export_from_env(tb.recorder(), "bench_ablation_failover.cts" + std::to_string(obs_run++));
+  obs::export_from_env({&tb.recorder()}, "bench_ablation_failover.cts" + std::to_string(obs_run++));
   // Discontinuity across the failover boundary (readings 10 and 11).
   return (times[10] - times[9]) - (reals[10] - reals[9]);
 }

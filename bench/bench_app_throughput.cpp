@@ -76,7 +76,7 @@ Row run(Workload wl, replication::ReplicationStyle style) {
     rounds = std::max(rounds, tb.server(s).time_service().stats().rounds_completed);
   }
   static int obs_run = 0;
-  obs::export_from_env(tb.recorder(), "bench_app_throughput.run" + std::to_string(obs_run++));
+  obs::export_from_env({&tb.recorder()}, "bench_app_throughput.run" + std::to_string(obs_run++));
   return Row{lat.mean(), lat.percentile(0.99), rounds};
 }
 

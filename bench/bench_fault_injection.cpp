@@ -106,7 +106,7 @@ Row run(double loss, bool churn) {
   row.ccs_per_round = rounds ? (double)wire / (double)rounds : 0.0;
   row.consistent = consistent;
   static int obs_run = 0;
-  obs::export_from_env(tb.recorder(), "bench_fault_injection.run" + std::to_string(obs_run++));
+  obs::export_from_env({&tb.recorder()}, "bench_fault_injection.run" + std::to_string(obs_run++));
   return row;
 }
 

@@ -60,7 +60,7 @@ RunResult run(bool with_cts) {
   for (std::uint32_t s = 0; s < tb.server_count(); ++s) {
     res.ccs_on_wire.push_back(tb.gcs_of(tb.server_node(s)).stats().on_wire(gcs::MsgType::kCcs));
   }
-  obs::export_from_env(tb.recorder(), with_cts ? "bench_fig5_overhead.with_cts" : "bench_fig5_overhead.without_cts");
+  obs::export_from_env({&tb.recorder()}, with_cts ? "bench_fig5_overhead.with_cts" : "bench_fig5_overhead.without_cts");
   return res;
 }
 

@@ -134,6 +134,6 @@ int main() {
   for (int s = 0; s < 3; ++s) {
     std::printf("  replica %d: %llu wins\n", s + 1, (unsigned long long)wins[s]);
   }
-  obs::export_from_env(tb.recorder(), "bench_fig6_skew_drift");
+  obs::export_from_env({&tb.recorder()}, "bench_fig6_skew_drift");
   return 0;
 }

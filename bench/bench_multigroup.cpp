@@ -146,7 +146,7 @@ Result run(Micros gap_us, bool stamped, std::uint64_t seed) {
     res.mean_skew = static_cast<Micros>(acc / static_cast<double>(skews.size()));
   }
   static int obs_run = 0;
-  obs::export_from_env(rec, "bench_multigroup.run" + std::to_string(obs_run++));
+  obs::export_from_env({&rec}, "bench_multigroup.run" + std::to_string(obs_run++));
   return res;
 }
 

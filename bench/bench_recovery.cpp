@@ -83,6 +83,6 @@ int main() {
   const bool equal12 = tb.server_app(1).time_history() == tb.server_app(2).time_history();
   std::printf("replica state identical after final recovery: %s\n",
               (equal01 && equal12) ? "yes" : "NO (bug)");
-  obs::export_from_env(tb.recorder(), "bench_recovery");
+  obs::export_from_env({&tb.recorder()}, "bench_recovery");
   return 0;
 }

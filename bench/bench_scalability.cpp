@@ -67,7 +67,7 @@ Row run(std::size_t servers, replication::ReplicationStyle style) {
     wire += tb.gcs_of(tb.server_node(s)).stats().on_wire(gcs::MsgType::kCcs);
   }
   static int obs_run = 0;
-  obs::export_from_env(tb.recorder(), "bench_scalability.run" + std::to_string(obs_run++));
+  obs::export_from_env({&tb.recorder()}, "bench_scalability.run" + std::to_string(obs_run++));
   return Row{lat.mean(), lat.percentile(0.5), lat.percentile(0.99), (double)wire / kRounds};
 }
 

@@ -323,25 +323,23 @@ void BM_ArchipelagoEventsPerSec(benchmark::State& state) {
 // work it handed off.  Wall clock is the number the sweep claims to improve.
 BENCHMARK(BM_ArchipelagoEventsPerSec)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// The scenario-sweep harness on an independent-seed matrix: 8 self-contained
-// testbeds, merged deterministically.  items = scenarios completed.
+// The seed-sweep runner on an independent-seed matrix: 8 self-contained
+// testbeds, one result slot each.  items = scenarios completed.
 void BM_ScenarioSweep(benchmark::State& state) {
   const unsigned jobs = sim::threads_from_env(1);
   constexpr std::uint64_t kScenarios = 8;
   for (auto _ : state) {
-    sim::ScenarioSweep sweep;
-    for (std::uint64_t seed = 1; seed <= kScenarios; ++seed) {
-      sweep.add("s" + std::to_string(seed), [seed] {
-        app::TestbedConfig cfg;
-        cfg.seed = seed;
-        app::Testbed tb(cfg);
-        tb.start();
-        tb.sim().run_for(200'000);
-        return std::to_string(tb.sim().events_executed());
-      });
-    }
-    const auto results = sweep.run(jobs);
-    benchmark::DoNotOptimize(sim::ScenarioSweep::merged_jsonl(results));
+    std::vector<std::uint64_t> events(kScenarios);
+    sim::run_indexed(kScenarios, jobs, [&events](std::size_t i) {
+      app::TestbedConfig cfg;
+      cfg.seed = i + 1;
+      app::Testbed tb(cfg);
+      tb.start();
+      tb.sim().run_for(200'000);
+      events[i] = tb.sim().events_executed();
+    });
+    benchmark::DoNotOptimize(events.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kScenarios));
   state.counters["jobs"] = static_cast<double>(jobs);
@@ -500,7 +498,7 @@ void BM_FullStackSimulationSpeed(benchmark::State& state) {
     while (!done) tb.sim().run(256);
     ++completed;
   }
-  obs::export_from_env(tb.recorder(), "bench_sim_core.fullstack");
+  obs::export_from_env({&tb.recorder()}, "bench_sim_core.fullstack");
   state.SetItemsProcessed(static_cast<std::int64_t>(completed));
 }
 BENCHMARK(BM_FullStackSimulationSpeed)->Unit(benchmark::kMicrosecond);

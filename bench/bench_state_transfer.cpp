@@ -63,7 +63,7 @@ Row run(std::uint32_t entries) {
   row.fragments = frags_after - frags_before;
   row.transfer_us = transfer;
   row.consistent = tb.server_app(2).time_history() == tb.server_app(0).time_history();
-  obs::export_from_env(tb.recorder(), "bench_state_transfer.entries" + std::to_string(entries));
+  obs::export_from_env({&tb.recorder()}, "bench_state_transfer.entries" + std::to_string(entries));
   return row;
 }
 

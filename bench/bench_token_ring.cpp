@@ -63,6 +63,6 @@ int main() {
   std::printf("full rotation (%zu hops): mean=%.1f us, mode=%lld us\n\n", kNodes,
               rotation.mean(), (long long)rotation.mode_bin());
   std::printf("%s\n", per_hop.table("per-hop token latency PDF").c_str());
-  obs::export_from_env(rec, "bench_token_ring");
+  obs::export_from_env({&rec}, "bench_token_ring");
   return 0;
 }

@@ -100,7 +100,6 @@ class Archipelago {
     const std::size_t servers = map_.servers();
     deliveries_.assign(rings, 0);
     xseq_.assign(rings * rings, 0);
-    crashed_.assign(rings, std::vector<bool>(servers, false));
     messengers_.resize(rings);
     routers_.resize(rings);
 
@@ -184,7 +183,6 @@ class Archipelago {
 
   void crash_server(std::size_t r, std::uint32_t s) {
     rings_[r]->crash_server(s);
-    crashed_[r][s] = true;
   }
 
   void restart_server(std::size_t r, std::uint32_t s) {
@@ -195,7 +193,6 @@ class Archipelago {
     // Without a client, server 0's node is also the ring's gateway — its
     // fresh endpoint needs the remote-group subscriptions again.
     if (rings_[r]->server_node(s) == 0) wire_gateway(r);
-    crashed_[r][s] = false;
   }
 
   // --- Accessors ---
@@ -204,19 +201,16 @@ class Archipelago {
   Testbed& ring(std::size_t r) { return *rings_[r]; }
   sim::IslandCoordinator& coordinator() { return coord_; }
   net::InterIslandLink& link() { return link_; }
-  [[nodiscard]] sim::IslandId island_of(std::size_t r) const { return islands_[r]; }
   [[nodiscard]] const ShardMap& shard_map() const { return map_; }
 
   /// Ring r's gateway router (with_client topologies only).
   GatewayRouter& router(std::size_t r) { return *routers_[r]; }
 
-  /// Ring r's (globally unique) server group id.
-  [[nodiscard]] GroupId group_of(std::size_t r) const { return map_.server_group(r); }
-
-  /// Ring r's cross-ring stamped-message group.  Disjoint from group_of:
-  /// the ReplicaManagers subscribe to the server group and would execute a
-  /// stamped message delivered there as a garbage RMI request (and route
-  /// the spurious reply back across the link).
+  /// Ring r's cross-ring stamped-message group.  Disjoint from the ring's
+  /// server group (ShardMap::server_group): the ReplicaManagers subscribe
+  /// to the server group and would execute a stamped message delivered
+  /// there as a garbage RMI request (and route the spurious reply back
+  /// across the link).
   [[nodiscard]] GroupId xgroup_of(std::size_t r) const { return map_.cross_group(r); }
 
   /// Stamped inter-ring deliveries observed by ring r's replicas (one count
@@ -283,8 +277,9 @@ class Archipelago {
 
   void broadcast_now(std::size_t src, std::size_t dst, Bytes body) {
     const MsgSeqNum seq = ++xseq_[src * map_.rings() + dst];
+    Testbed& tb = *rings_[src];
     for (std::uint32_t s = 0; s < map_.servers(); ++s) {
-      if (crashed_[src][s]) continue;
+      if (!tb.clock_of(tb.server_node(s)).alive()) continue;  // crashed
       messengers_[src][s]->stamp_and_send(xgroup_of(dst), kInterRingConn, seq, body);
     }
   }
@@ -320,7 +315,6 @@ class Archipelago {
   std::vector<sim::IslandId> islands_;
   std::vector<std::unique_ptr<GatewayRouter>> routers_;
   std::vector<std::vector<std::unique_ptr<ccs::CausalMessenger>>> messengers_;
-  std::vector<std::vector<bool>> crashed_;
   std::vector<std::uint64_t> deliveries_;   // per-ring, each written by its ring's worker
   std::vector<MsgSeqNum> xseq_;             // per (src,dst), written by src's worker
   StampedFn handler_;

@@ -93,10 +93,6 @@ class GatewayRouter {
         c_forwards_(&rec.counter("gateway.forwards")),
         c_fwd_served_(&rec.counter("gateway.fwd_served")) {}
 
-  /// After the gateway node's process is rebuilt (restart), point the
-  /// router at the fresh client.  Outstanding forwards stay pending.
-  void rebind_client(orb::RmiClient& client) { client_ = &client; }
-
   /// Route a client request.  If the ShardMap says this ring owns the key
   /// (or the request is not a recognizable keyed request — STATS, COUNT,
   /// and friends are served locally), invoke the local replicated server;

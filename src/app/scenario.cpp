@@ -13,7 +13,6 @@
 #include "app/testbed.hpp"
 #include "app/topology.hpp"
 #include "common/histogram.hpp"
-#include "obs/merge.hpp"
 #include "obs/recorder.hpp"
 #include "sim/sweep.hpp"
 
@@ -148,6 +147,20 @@ void finish(ScenarioReport& rep, const ScenarioSpec& s) {
             (stamped > 0 && rep.cross_shard == 0 && (!s.kv || rep.gateway_forwards > 0)));
 }
 
+/// The run's one export: the --metrics-json/--trace-jsonl files, the
+/// CTS_* environment files (both in the format the recorder count picks,
+/// obs/merge.hpp) and, with --verbose, one summary per recorder.
+void export_run(const ScenarioSpec& s, const std::vector<obs::Recorder*>& recs,
+                const std::string& obs_label, ScenarioReport& rep) {
+  if (!obs::export_files(recs, s.metrics_json, s.trace_jsonl)) {
+    std::fprintf(stderr, "warning: could not write --metrics-json/--trace-jsonl\n");
+  }
+  obs::export_from_env(recs, obs_label);
+  if (s.verbose) {
+    for (obs::Recorder* rec : recs) rep.summaries.push_back(rec->summary());
+  }
+}
+
 constexpr Micros kDeadline = 600'000'000'000LL;
 
 ScenarioReport run_testbed(const ScenarioSpec& s, const std::string& obs_label) {
@@ -204,15 +217,7 @@ ScenarioReport run_testbed(const ScenarioSpec& s, const std::string& obs_label) 
         ts.rounds_won, ts.sends_initiated, ts.sends_avoided, m.time_service().clock_offset()});
   }
   finish(rep, s);
-
-  if (!s.metrics_json.empty() && !tb.recorder().metrics().write_json(s.metrics_json)) {
-    std::fprintf(stderr, "warning: could not write metrics to %s\n", s.metrics_json.c_str());
-  }
-  if (!s.trace_jsonl.empty() && !tb.recorder().trace().write_jsonl(s.trace_jsonl)) {
-    std::fprintf(stderr, "warning: could not write trace to %s\n", s.trace_jsonl.c_str());
-  }
-  obs::export_from_env(tb.recorder(), obs_label);
-  if (s.verbose) rep.summaries.push_back(tb.recorder().summary());
+  export_run(s, {&tb.recorder()}, obs_label, rep);
   return rep;
 }
 
@@ -289,17 +294,7 @@ ScenarioReport run_archipelago(const ScenarioSpec& s, const std::string& obs_lab
   rep.posts = cstats.posts;
   rep.coordinated_events = cstats.events_executed;
   finish(rep, s);
-
-  // Observability export, deterministically merged across islands.
-  auto recs = ar.recorders();
-  if ((!s.metrics_json.empty() || !s.trace_jsonl.empty()) &&
-      !obs::export_merged_files(recs, s.metrics_json, s.trace_jsonl)) {
-    std::fprintf(stderr, "warning: could not write merged obs exports\n");
-  }
-  obs::export_merged_from_env(recs, obs_label);
-  if (s.verbose) {
-    for (obs::Recorder* rec : recs) rep.summaries.push_back(rec->summary());
-  }
+  export_run(s, ar.recorders(), obs_label, rep);
   return rep;
 }
 
@@ -393,17 +388,11 @@ ScenarioReport run_scenario(const ScenarioSpec& spec, const std::string& obs_lab
 std::vector<ScenarioReport> run_sweep(const ScenarioSpec& spec,
                                       const std::vector<std::uint64_t>& seeds, unsigned jobs) {
   std::vector<ScenarioReport> reports(seeds.size());
-  sim::ScenarioSweep sweep;
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    const std::string name = "seed" + std::to_string(seeds[i]);
-    sweep.add(name, [&spec, &reports, i, seed = seeds[i], label = "ctsim." + name] {
-      ScenarioSpec s = spec;
-      s.seed = seed;
-      reports[i] = run_scenario(s, label);  // each worker owns its own slot
-      return std::string();
-    });
-  }
-  (void)sweep.run(jobs);
+  sim::run_indexed(seeds.size(), jobs, [&](std::size_t i) {
+    ScenarioSpec s = spec;
+    s.seed = seeds[i];
+    reports[i] = run_scenario(s, "ctsim.seed" + std::to_string(s.seed));  // slot i is job i's
+  });
   return reports;
 }
 

@@ -6,7 +6,7 @@
 // ring, an Archipelago of islands for more — drives the client workload to
 // completion, checks it, writes the requested observability exports and
 // returns a ScenarioReport.  run_sweep() runs the same spec once per seed
-// through sim::ScenarioSweep; the reports come back in seed-list order for
+// through sim::run_indexed; the reports come back in seed-list order for
 // any worker count.
 //
 // parse_scenario_args() is the shared command-line parser: it validates

@@ -245,6 +245,24 @@ class Testbed {
   /// manager) is torn down mid-recovery it is destroyed, never invoked
   /// twice and never leaked.
   void restart_server(std::uint32_t s, UniqueFn<void()> recovered = nullptr) {
+    rebuild_server(s, /*group_reset=*/false).start_recovering(std::move(recovered));
+  }
+
+  /// Restart server replica s after a TOTAL failure: rebuild the process
+  /// and start from the host's local disk instead of a peer's checkpoint.
+  void cold_restart_server(std::uint32_t s) {
+    rebuild_server(s, /*group_reset=*/true).start_cold();
+  }
+
+  storage::StableStore& store_of(std::uint32_t s) { return *stores_[s]; }
+
+ private:
+  /// Rebuild server replica s's process on its host for a restart: a fresh
+  /// GCS endpoint and replica manager, a clock rebooted to a new offset, the
+  /// Totem node restarted, the oracle told the node and replica (and, for a
+  /// cold restart after a total failure, the whole group) start over.  The
+  /// caller starts the returned manager.
+  replication::ReplicaManager& rebuild_server(std::uint32_t s, bool group_reset) {
     const auto node = server_node(s);
     const replication::ManagerConfig mcfg = managers_[s]->config();
 
@@ -264,38 +282,13 @@ class Testbed {
     if (auto* orc = recorder_.oracle()) {
       orc->on_node_reset(NodeId{node});
       orc->on_replica_reset(mcfg.group, mcfg.replica);
+      if (group_reset) orc->on_group_reset(mcfg.group);
     }
     eps_[node]->set_recorder(&recorder_);
     managers_[s]->set_recorder(&recorder_);
-    managers_[s]->start_recovering(std::move(recovered));
+    return *managers_[s];
   }
 
-  /// Restart server replica s after a TOTAL failure: rebuild the process
-  /// and start from the host's local disk instead of a peer's checkpoint.
-  void cold_restart_server(std::uint32_t s) {
-    const auto node = server_node(s);
-    const replication::ManagerConfig mcfg = managers_[s]->config();
-    managers_[s].reset();
-    eps_[node] = std::make_unique<gcs::GcsEndpoint>(sim_, *totems_[node]);
-    clocks_[node]->restart(clock_restart_rng_.range(-cfg_.max_clock_offset_us,
-                                                    cfg_.max_clock_offset_us));
-    totems_[node]->restart();
-    managers_[s] = std::make_unique<replication::ReplicaManager>(sim_, *eps_[node],
-                                                                 *clocks_[node], mcfg,
-                                                                 cfg_.factory);
-    if (auto* orc = recorder_.oracle()) {
-      orc->on_node_reset(NodeId{node});
-      orc->on_replica_reset(mcfg.group, mcfg.replica);
-      orc->on_group_reset(mcfg.group);
-    }
-    eps_[node]->set_recorder(&recorder_);
-    managers_[s]->set_recorder(&recorder_);
-    managers_[s]->start_cold();
-  }
-
-  storage::StableStore& store_of(std::uint32_t s) { return *stores_[s]; }
-
- private:
   TestbedConfig cfg_;
   sim::Simulator sim_;
   net::Network net_;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -103,15 +104,28 @@ class CodecError : public std::runtime_error {
 /// code must go through BytesWriter/BytesReader or these helpers — raw
 /// memcpy/reinterpret_cast elsewhere is a detlint error.
 ///
-/// The caller is responsible for bounds: `p` must point at 4 readable
-/// (resp. writable) bytes.
+/// The caller is responsible for bounds: `p` must point at sizeof(value)
+/// readable (resp. writable) bytes.
+///
+/// Values are copied in host byte order, so the wire format is
+/// little-endian because every supported host is; a big-endian build stops
+/// here instead of emitting a different format.
+static_assert(std::endian::native == std::endian::little,
+              "the wire format is little-endian: add byte swaps for this host");
+
 inline std::uint32_t load_u32le(const std::uint8_t* p) {
   std::uint32_t v = 0;
   std::memcpy(&v, p, sizeof(v));
   return v;
 }
 
-inline void store_u32le(std::uint8_t* p, std::uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
+/// Any fixed-width integer: the BytesWriter's append path.
+template <typename T>
+inline void store_le(std::uint8_t* p, T v) {
+  std::memcpy(p, &v, sizeof(v));
+}
+
+inline void store_u32le(std::uint8_t* p, std::uint32_t v) { store_le(p, v); }
 
 /// 8-byte flavor for word-at-a-time scans (the oracle's payload
 /// fingerprint).  `p` must point at 8 readable bytes.
@@ -159,7 +173,7 @@ class BytesWriter {
   /// Length-prefixed (u32) raw bytes.
   void bytes(std::span<const std::uint8_t> data) {
     u32(static_cast<std::uint32_t>(data.size()));
-    buf_.insert(buf_.end(), data.begin(), data.end());
+    raw(data);
   }
 
   /// Unprefixed raw append — the scatter-gather path.  A frame encoder
@@ -167,7 +181,7 @@ class BytesWriter {
   /// payload slices) into one wire buffer without an intermediate
   /// concatenation buffer per source.
   void raw(std::span<const std::uint8_t> data) {
-    buf_.insert(buf_.end(), data.begin(), data.end());
+    std::copy(data.begin(), data.end(), extend(data.size()));
   }
 
   /// Grow the buffer's capacity by `additional` bytes beyond what is
@@ -186,7 +200,7 @@ class BytesWriter {
   /// Length-prefixed (u32) UTF-8 string.
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    std::copy(s.begin(), s.end(), extend(s.size()));
   }
 
   [[nodiscard]] const Bytes& data() const& { return buf_; }
@@ -196,9 +210,14 @@ class BytesWriter {
  private:
   template <typename T>
   void put(T v) {
-    std::uint8_t tmp[sizeof(T)];
-    std::memcpy(tmp, &v, sizeof(T));
-    buf_.insert(buf_.end(), tmp, tmp + sizeof(T));
+    store_le(extend(sizeof(T)), v);
+  }
+
+  /// Append `n` bytes for the caller to fill; returns where they start.
+  std::uint8_t* extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
   }
 
   Bytes buf_;

@@ -41,6 +41,16 @@ void write_merged_trace_jsonl(std::ostream& out, const std::vector<Recorder*>& i
   for (const Tagged& t : all) write_jsonl_row(out, *t.e, t.island);
 }
 
+/// Write one document to `path`; false if the file could not be opened or
+/// written.
+template <class Write>
+bool write_file(const std::string& path, const Write& write) {
+  std::ofstream f(path);
+  if (!f) return false;
+  write(f);
+  return static_cast<bool>(f);
+}
+
 }  // namespace
 
 std::string merged_trace_jsonl(const std::vector<Recorder*>& islands) {
@@ -61,43 +71,47 @@ std::string merged_metrics_json(const std::vector<Recorder*>& islands) {
   return out.str();
 }
 
-bool export_merged_files(const std::vector<Recorder*>& islands,
-                         const std::string& metrics_path, const std::string& trace_path) {
-  bool ok = true;
-  if (!metrics_path.empty()) {
-    std::ofstream f(metrics_path);
-    if (f) f << merged_metrics_json(islands);
-    ok = ok && static_cast<bool>(f);
-  }
-  if (!trace_path.empty()) {
-    std::ofstream f(trace_path);
-    if (f) write_merged_trace_jsonl(f, islands);
-    ok = ok && static_cast<bool>(f);
-  }
-  return ok;
+bool export_files(const std::vector<Recorder*>& recs, const std::string& metrics_path,
+                  const std::string& trace_path) {
+  for (Recorder* rec : recs) rec->sync_sim_stats();
+  const bool merged = recs.size() != 1;
+  const auto write_metrics = [&](std::ostream& out) {
+    out << (merged ? merged_metrics_json(recs) : recs[0]->metrics().to_json());
+  };
+  const auto write_trace = [&](std::ostream& out) {
+    if (merged) {
+      write_merged_trace_jsonl(out, recs);
+    } else {
+      for (const TraceEvent& e : recs[0]->trace().events()) write_jsonl_row(out, e);
+    }
+  };
+  const bool metrics_ok = metrics_path.empty() || write_file(metrics_path, write_metrics);
+  const bool trace_ok = trace_path.empty() || write_file(trace_path, write_trace);
+  return metrics_ok && trace_ok;
 }
 
-int export_merged_from_env(const std::vector<Recorder*>& islands, const std::string& label) {
+int export_from_env(const std::vector<Recorder*>& recs, const std::string& label) {
   int written = 0;
-  auto emit = [&](const std::string& metrics_path, const std::string& trace_path) {
-    // The variables are an explicit request to export, so a failed write
-    // (typically a missing directory) warns instead of silently skipping.
-    if (!metrics_path.empty()) {
-      if (export_merged_files(islands, metrics_path, "")) ++written;
-      else std::fprintf(stderr, "warning: could not write metrics to %s\n", metrics_path.c_str());
-    }
-    if (!trace_path.empty()) {
-      if (export_merged_files(islands, "", trace_path)) ++written;
-      else std::fprintf(stderr, "warning: could not write trace to %s\n", trace_path.c_str());
+  // The variables are an explicit request to export, so a failed write
+  // (typically a missing directory) warns instead of silently skipping.
+  const auto emit = [&](const std::string& path, bool metrics) {
+    if (path.empty()) return;
+    if (metrics ? export_files(recs, path, "") : export_files(recs, "", path)) {
+      ++written;
+    } else {
+      std::fprintf(stderr, "warning: could not write %s to %s\n", metrics ? "metrics" : "trace",
+                   path.c_str());
     }
   };
   if (const char* dir = std::getenv("CTS_OBS_DIR"); dir && *dir) {
     const std::string base = std::string(dir) + "/" + label;
-    emit(base + ".metrics.json", base + ".trace.jsonl");
+    emit(base + ".metrics.json", true);
+    emit(base + ".trace.jsonl", false);
   }
   const char* mj = std::getenv("CTS_METRICS_JSON");
   const char* tj = std::getenv("CTS_TRACE_JSONL");
-  emit(mj ? mj : "", tj ? tj : "");
+  emit(mj ? mj : "", true);
+  emit(tj ? tj : "", false);
   return written;
 }
 

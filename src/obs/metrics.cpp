@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 namespace cts::obs {
@@ -87,13 +86,6 @@ std::string MetricsRegistry::summary() const {
     out << "\n";
   }
   return out.str();
-}
-
-bool MetricsRegistry::write_json(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
-  f << to_json();
-  return static_cast<bool>(f);
 }
 
 }  // namespace cts::obs

@@ -103,9 +103,6 @@ class MetricsRegistry {
   /// summary line per histogram.
   [[nodiscard]] std::string summary() const;
 
-  /// Write to_json() to `path`.  Returns false on I/O failure.
-  bool write_json(const std::string& path) const;
-
  private:
   // Deliberately std::map, not cts::FlatMap: counter()/gauge_slot()
   // references must stay stable for the registry's lifetime (hot paths

@@ -1,7 +1,5 @@
 #include "obs/recorder.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 
@@ -22,36 +20,7 @@ std::string Recorder::summary() {
 
 bool Recorder::export_files(const std::string& metrics_path,
                             const std::string& trace_path) {
-  sync_sim_stats();
-  bool ok = true;
-  if (!metrics_path.empty()) ok = metrics_.write_json(metrics_path) && ok;
-  if (!trace_path.empty()) ok = trace_.write_jsonl(trace_path) && ok;
-  return ok;
-}
-
-int export_from_env(Recorder& rec, const std::string& label) {
-  rec.sync_sim_stats();
-  int written = 0;
-  auto emit = [&](const std::string& metrics_path, const std::string& trace_path) {
-    // The variables are an explicit request to export, so a failed write
-    // (typically a missing directory) warns instead of silently skipping.
-    if (!metrics_path.empty()) {
-      if (rec.metrics().write_json(metrics_path)) ++written;
-      else std::fprintf(stderr, "warning: could not write metrics to %s\n", metrics_path.c_str());
-    }
-    if (!trace_path.empty()) {
-      if (rec.trace().write_jsonl(trace_path)) ++written;
-      else std::fprintf(stderr, "warning: could not write trace to %s\n", trace_path.c_str());
-    }
-  };
-  if (const char* dir = std::getenv("CTS_OBS_DIR"); dir && *dir) {
-    const std::string base = std::string(dir) + "/" + label;
-    emit(base + ".metrics.json", base + ".trace.jsonl");
-  }
-  const char* mj = std::getenv("CTS_METRICS_JSON");
-  const char* tj = std::getenv("CTS_TRACE_JSONL");
-  emit(mj ? mj : "", tj ? tj : "");
-  return written;
+  return obs::export_files({this}, metrics_path, trace_path);
 }
 
 }  // namespace cts::obs

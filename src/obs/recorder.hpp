@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/types.hpp"
+#include "obs/merge.hpp"
 #include "obs/metrics.hpp"
 #include "obs/oracle.hpp"
 #include "obs/trace.hpp"
@@ -54,17 +55,16 @@ class Recorder {
   /// Text summary of metrics plus per-kind trace tallies.
   [[nodiscard]] std::string summary();
 
-  /// Write metrics.json / trace.jsonl.  Empty path skips that file.
-  /// Returns true if every requested write succeeded.
+  /// obs::export_files({this}, ...) (merge.hpp).
   bool export_files(const std::string& metrics_path, const std::string& trace_path);
 
   /// Pull the simulator's own statistics into the registry, so exports and
   /// summaries carry the engine's view of the run:
   ///   sim.events_executed (counter) — events fired since construction;
   ///   sim.queue_depth (gauge)       — live pending events at export time.
-  /// Called by summary()/export_files(); cheap and idempotent.  The counter
-  /// and gauge slots are resolved once (stable node references) so repeated
-  /// syncs skip the by-name map walk entirely.
+  /// Called by summary() and before every export; cheap and idempotent.
+  /// The counter and gauge slots are resolved once (stable node
+  /// references) so repeated syncs skip the by-name map walk entirely.
   void sync_sim_stats() {
     if (sim_events_ == nullptr) {
       sim_events_ = &metrics_.counter("sim.events_executed");
@@ -82,16 +82,5 @@ class Recorder {
   Counter* sim_events_ = nullptr;
   std::int64_t* sim_queue_depth_ = nullptr;
 };
-
-/// Honor the observability environment variables:
-///   CTS_OBS_DIR=<dir>        — write <dir>/<label>.metrics.json and
-///                              <dir>/<label>.trace.jsonl
-///   CTS_METRICS_JSON=<path>  — write the metrics registry to <path>
-///   CTS_TRACE_JSONL=<path>   — write the trace to <path>
-/// Exact-path variables are meant for single-run tools; multi-run benches
-/// pass a distinct label per run and set CTS_OBS_DIR.  Returns the number
-/// of files written (0 when no variable is set).  Non-const: syncs the
-/// simulator's own stats into the registry before writing.
-int export_from_env(Recorder& rec, const std::string& label);
 
 }  // namespace cts::obs

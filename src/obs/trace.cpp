@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
@@ -78,13 +77,6 @@ std::string TraceLog::to_jsonl() const {
   std::ostringstream out;
   for (const auto& e : events_) write_jsonl_row(out, e);
   return out.str();
-}
-
-bool TraceLog::write_jsonl(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) return false;
-  for (const auto& e : events_) write_jsonl_row(f, e);
-  return static_cast<bool>(f);
 }
 
 }  // namespace cts::obs

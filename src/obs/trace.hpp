@@ -120,10 +120,6 @@ class TraceLog {
   ///    "a": 7, "b": 1, "c": 0}
   [[nodiscard]] std::string to_jsonl() const;
 
-  /// Stream the to_jsonl() document to `path` without materializing it.
-  /// Returns false on I/O failure.
-  bool write_jsonl(const std::string& path) const;
-
  private:
   std::size_t max_events_;
   std::vector<TraceEvent> events_;

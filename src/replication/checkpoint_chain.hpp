@@ -74,9 +74,7 @@ inline void extend_chain(std::vector<CheckpointHeader>& chain, std::uint64_t upt
   h.parent = chain.empty() ? 0 : chain.back().link;
   h.link = chain_link(h.upto, h.digest, h.parent);
   chain.push_back(h);
-  if (chain.size() > max_headers) {
-    chain.erase(chain.begin(), chain.end() - static_cast<std::ptrdiff_t>(max_headers));
-  }
+  while (chain.size() > max_headers) chain.erase(chain.begin());
 }
 
 /// Serialize snapshot + chain into one kState payload.

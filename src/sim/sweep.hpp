@@ -1,115 +1,48 @@
-// ScenarioSweep: run independent scenarios (seeds, configs) across worker
-// threads and merge their results deterministically.
+// run_indexed: run independent jobs (seeds, configs) across worker threads.
 //
-// Each scenario is a self-contained closure that builds its own world — its
-// own Simulator, Testbed, Recorder — runs it, and returns a result string
-// (typically a metrics JSON line).  Scenarios share nothing, so they are
-// embarrassingly parallel; the only determinism hazard is merge order, and
-// that is fixed by construction: results land in a pre-sized vector at the
-// scenario's registration index, so the merged output is identical for any
-// worker count, any completion order, any machine.
+// Each index is a self-contained job that builds its own world — its own
+// Simulator, Testbed, Recorder — runs it, and stores its result in slot i
+// of a vector the caller sized up front.  Jobs share nothing, so they are
+// embarrassingly parallel; the only determinism hazard is result order,
+// and the slot-per-index rule fixes it by construction: the results are
+// identical for any worker count, any completion order, any machine.
 //
-// This is the cheap half of ROADMAP item 4 (the island coordinator in
-// sim/parallel.hpp is the deep half): crash sweeps, seed matrices, and
-// bench grids get multi-core wall-clock wins with zero changes to the
-// simulator itself.
+// This is the cheap half of the parallel simulator (doc/PARALLEL.md; the
+// island coordinator in sim/parallel.hpp is the deep half): seed sweeps
+// get multi-core wall-clock wins with zero changes to the simulator.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstddef>
-#include <functional>
-#include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace cts::sim {
 
-/// One completed scenario: its registration index, label, and the string
-/// the scenario body returned (by convention a single JSON object/line).
-struct SweepResult {
-  std::size_t index = 0;
-  std::string name;
-  std::string output;
-};
-
-class ScenarioSweep {
- public:
-  // detlint:allow(heap-callback): constructed once per registered scenario
-  // in the harness setup, not on the simulator's event path
-  using ScenarioFn = std::function<std::string()>;
-
-  /// Register a scenario.  `name` labels the result row; `fn` must be
-  /// fully self-contained (no references to state shared with any other
-  /// scenario) because it may run on any worker thread.
-  void add(std::string name, ScenarioFn fn) {
-    names_.push_back(std::move(name));
-    fns_.push_back(std::move(fn));
+/// Call fn(i) exactly once for every i in [0, n) on up to `jobs` workers
+/// (clamped to n; 0 counts as 1).  One worker runs every index inline on
+/// the caller, in order.  Workers claim indices from a shared counter —
+/// claim order is racy, so fn(i) must touch only state owned by index i.
+template <class Fn>
+void run_indexed(std::size_t n, unsigned jobs, const Fn& fn) {
+  const std::size_t workers = std::min<std::size_t>(jobs == 0 ? 1 : jobs, n);
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
   }
-
-  [[nodiscard]] std::size_t size() const { return fns_.size(); }
-
-  /// Run every registered scenario and return results in registration
-  /// order.  `threads` is the worker count (clamped to the scenario
-  /// count); 1 runs everything inline on the caller.  Workers claim
-  /// scenarios from a shared counter — claim order is racy, result order
-  /// is not: each result is written to its own pre-allocated slot.
-  std::vector<SweepResult> run(unsigned threads) {
-    const std::size_t n = fns_.size();
-    std::vector<SweepResult> results(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      results[i].index = i;
-      results[i].name = names_[i];
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      fn(i);
     }
-    const unsigned workers =
-        static_cast<unsigned>(std::min<std::size_t>(threads == 0 ? 1 : threads, n));
-    if (workers <= 1) {
-      for (std::size_t i = 0; i < n; ++i) results[i].output = fns_[i]();
-      return results;
-    }
-    std::atomic<std::size_t> next{0};
-    auto work = [&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        results[i].output = fns_[i]();
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (unsigned w = 1; w < workers; ++w) pool.emplace_back(work);
-    work();
-    for (std::thread& th : pool) th.join();
-    return results;
-  }
-
-  /// Merge results into one JSONL document, one row per scenario in
-  /// registration order: {"scenario": <name>, "result": <output>}.
-  /// `output` is spliced in raw when it looks like a JSON value (starts
-  /// with '{', '[', or a digit), else quoted.
-  static std::string merged_jsonl(const std::vector<SweepResult>& results) {
-    std::string out;
-    for (const SweepResult& r : results) {
-      out += "{\"scenario\": \"";
-      out += r.name;
-      out += "\", \"result\": ";
-      const char c = r.output.empty() ? '\0' : r.output.front();
-      if (c == '{' || c == '[' || (c >= '0' && c <= '9') || c == '-') {
-        out += r.output;
-      } else {
-        out += '"';
-        out += r.output;
-        out += '"';
-      }
-      out += "}\n";
-    }
-    return out;
-  }
-
- private:
-  std::vector<std::string> names_;
-  std::vector<ScenarioFn> fns_;
-};
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(workers - 1);
+  for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(work);
+  work();
+  for (std::thread& th : pool) th.join();
+}
 
 }  // namespace cts::sim

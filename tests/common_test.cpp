@@ -167,6 +167,19 @@ TEST(BytesTest, LoadStoreU32RoundTrip) {
   EXPECT_EQ(buf[5], 0xee);
 }
 
+TEST(BytesTest, WriterLaysOutScalarsLittleEndian) {
+  BytesWriter w;
+  w.u8(0x01);
+  w.u16(0x0302);
+  w.u32(0x07060504u);
+  w.u64(0x0f0e0d0c0b0a0908ULL);
+  w.i64(-2);
+  const Bytes expected{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a,
+                       0x0b, 0x0c, 0x0d, 0x0e, 0x0f, 0xfe, 0xff, 0xff, 0xff, 0xff,
+                       0xff, 0xff, 0xff};
+  EXPECT_EQ(w.data(), expected);
+}
+
 TEST(BytesTest, RemainingTracksConsumption) {
   BytesWriter w;
   w.u32(1);

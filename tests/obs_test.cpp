@@ -1,12 +1,17 @@
 // Tests for the observability layer: metrics registry, bounded trace log,
-// JSON export — and trace-based *behavioral* assertions over the protocol
-// stack (a loss-free run retransmits nothing; exactly one synchronizer wins
-// each CCS round; a promoted passive backup re-issues exactly one pending
-// proposal; reentrant clock calls are rejected loudly, not silently).
+// JSON export of one or many recorders — and trace-based *behavioral*
+// assertions over the protocol stack (a loss-free run retransmits nothing;
+// exactly one synchronizer wins each CCS round; a promoted passive backup
+// re-issues exactly one pending proposal; reentrant clock calls are
+// rejected loudly, not silently).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -71,6 +76,46 @@ TEST(TraceLogTest, JsonlNamesKindsAndNullsInvalidIds) {
   EXPECT_NE(jsonl.find("\"kind\": \"synchronizer_win\""), std::string::npos) << jsonl;
   EXPECT_NE(jsonl.find("\"node\": null"), std::string::npos) << jsonl;
   EXPECT_NE(jsonl.find("\"replica\": 2"), std::string::npos) << jsonl;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(ExportTest, RecorderCountPicksTheFormat) {
+  sim::Simulator sim_a(1), sim_b(2);
+  Recorder a{sim_a}, b{sim_b};
+  a.counter("island.a") += 1;
+  b.counter("island.b") += 2;
+  sim_a.at(5, [&a] { a.event(EventKind::kTokenPass, NodeId{0}); });
+  sim_b.at(3, [&b] { b.event(EventKind::kTokenPass, NodeId{1}); });
+  sim_a.run_until(10);
+  sim_b.run_until(10);
+  const std::string base = ::testing::TempDir() + "obs_test_export";
+
+  // One recorder: its own registry (simulator stats synced in) and trace.
+  ASSERT_TRUE(export_files({&a}, base + "1.metrics.json", base + "1.trace.jsonl"));
+  const std::string one = slurp(base + "1.metrics.json");
+  EXPECT_EQ(one, a.metrics().to_json());
+  EXPECT_NE(one.find("\"sim.events_executed\": 1"), std::string::npos) << one;
+  EXPECT_EQ(slurp(base + "1.trace.jsonl"), a.trace().to_jsonl());
+
+  // Two: the island merge, ordered by time across islands.
+  ASSERT_TRUE(export_files({&a, &b}, base + "2.metrics.json", base + "2.trace.jsonl"));
+  EXPECT_EQ(slurp(base + "2.metrics.json"), merged_metrics_json({&a, &b}));
+  const std::string merged = slurp(base + "2.trace.jsonl");
+  EXPECT_EQ(merged, merged_trace_jsonl({&a, &b}));
+  EXPECT_EQ(merged.rfind("{\"at\": 3, \"island\": 1,", 0), 0u) << merged;
+
+  // An empty path skips that file; an unwritable one reports failure.
+  EXPECT_TRUE(export_files({&a}, "", ""));
+  EXPECT_FALSE(export_files({&a}, base + "-missing-dir/m.json", ""));
+  for (const char* f : {"1.metrics.json", "1.trace.jsonl", "2.metrics.json", "2.trace.jsonl"}) {
+    std::remove((base + f).c_str());
+  }
 }
 
 // --- Behavioral: full CTS rig with a shared recorder ------------------------------

@@ -1,6 +1,6 @@
 // Tests for the scenario engine behind ctsim (app/scenario.hpp): the
-// consistency judgement, seed sweeps, island-parallel exports and the
-// command-line parser's rejections.
+// consistency judgement, seed sweeps, exports (flag and environment files
+// alike, one ring or many) and the command-line parser's rejections.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -91,6 +91,35 @@ TEST(ScenarioTest, MergedExportsIdenticalAcrossIslandWorkers) {
   EXPECT_EQ(metrics[0], metrics[1]);
   EXPECT_EQ(traces[0], traces[1]);
   EXPECT_EQ(reports[0].json_row(), reports[1].json_row());
+}
+
+TEST(ScenarioTest, FlagExportsEqualEnvExports) {
+  // --metrics-json/--trace-jsonl and CTS_OBS_DIR write the same documents,
+  // for one ring (one recorder) and for four (the island merge).
+  const std::string dir = ::testing::TempDir();
+  ASSERT_EQ(::setenv("CTS_OBS_DIR", dir.c_str(), 1), 0);
+  for (const std::size_t rings : {1u, 4u}) {
+    ScenarioSpec s;
+    s.rings = rings;
+    s.kv = true;
+    s.invocations = 40;
+    const std::string label = "scenario_test_env" + std::to_string(rings);
+    const std::string env = dir + "/" + label;
+    const std::string flag = dir + "scenario_test_flag" + std::to_string(rings);
+    s.metrics_json = flag + ".metrics.json";
+    s.trace_jsonl = flag + ".trace.jsonl";
+    EXPECT_TRUE(run_scenario(s, label).ok) << rings << " ring(s)";
+    const std::string metrics = slurp(s.metrics_json);
+    EXPECT_NE(metrics.find("\"sim.events_executed\""), std::string::npos) << metrics;
+    EXPECT_EQ(metrics, slurp(env + ".metrics.json")) << rings << " ring(s)";
+    EXPECT_FALSE(slurp(s.trace_jsonl).empty());
+    EXPECT_EQ(slurp(s.trace_jsonl), slurp(env + ".trace.jsonl")) << rings << " ring(s)";
+    for (const std::string& f : {s.metrics_json, s.trace_jsonl, env + ".metrics.json",
+                                 env + ".trace.jsonl"}) {
+      std::remove(f.c_str());
+    }
+  }
+  ASSERT_EQ(::unsetenv("CTS_OBS_DIR"), 0);
 }
 
 TEST(ScenarioArgsTest, ParsesEveryOptionKind) {

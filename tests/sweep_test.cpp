@@ -1,81 +1,55 @@
-// ScenarioSweep: parallel seed/config matrices with a deterministic merge.
+// sim::run_indexed: the seed-sweep runner behind ctsim --seeds.  The sweep
+// rows themselves (identical for any --jobs) are checked end to end by
+// ScenarioTest.SweepRowsMatchAcrossJobsAndSingleRuns.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <string>
+#include <cstddef>
+#include <thread>
 #include <vector>
 
-#include "app/testbed.hpp"
 #include "sim/sweep.hpp"
 
 namespace cts {
 namespace {
 
 TEST(ScenarioSweep, ResultsKeepRegistrationOrder) {
-  sim::ScenarioSweep sweep;
-  for (int i = 0; i < 16; ++i) {
-    sweep.add("s" + std::to_string(i), [i] { return std::to_string(i * i); });
-  }
-  for (unsigned threads : {1u, 4u, 16u, 32u}) {
-    const auto results = sweep.run(threads);
-    ASSERT_EQ(results.size(), 16u);
-    for (int i = 0; i < 16; ++i) {
-      EXPECT_EQ(results[static_cast<std::size_t>(i)].index, static_cast<std::size_t>(i));
-      EXPECT_EQ(results[static_cast<std::size_t>(i)].name, "s" + std::to_string(i));
-      EXPECT_EQ(results[static_cast<std::size_t>(i)].output, std::to_string(i * i));
+  constexpr std::size_t kScenarios = 16;
+  // Each index owns its slot, so the results read back in index order for
+  // any worker count, whatever order the workers claimed the indices in.
+  for (unsigned jobs : {1u, 4u, 16u, 32u}) {
+    std::vector<std::size_t> results(kScenarios, 0);
+    sim::run_indexed(kScenarios, jobs, [&](std::size_t i) { results[i] = i * i; });
+    for (std::size_t i = 0; i < kScenarios; ++i) {
+      EXPECT_EQ(results[i], i * i) << "jobs " << jobs << " index " << i;
     }
   }
-}
-
-TEST(ScenarioSweep, MergedOutputIdenticalAcrossWorkerCounts) {
-  // Real workloads: one small testbed per seed, each fully self-contained.
-  auto build = [] {
-    sim::ScenarioSweep sweep;
-    for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
-      sweep.add("seed" + std::to_string(seed), [seed] {
-        app::TestbedConfig cfg;
-        cfg.seed = seed;
-        app::Testbed tb(cfg);
-        tb.start();
-        tb.sim().run_for(400'000);
-        return "{\"events\": " + std::to_string(tb.sim().events_executed()) +
-               ", \"tokens\": " +
-               std::to_string(tb.recorder().trace().count(obs::EventKind::kTokenPass)) + "}";
-      });
-    }
-    return sweep;
-  };
-  auto s1 = build();
-  const auto serial = sim::ScenarioSweep::merged_jsonl(s1.run(1));
-  EXPECT_FALSE(serial.empty());
-  auto s2 = build();
-  EXPECT_EQ(sim::ScenarioSweep::merged_jsonl(s2.run(2)), serial);
-  auto s4 = build();
-  EXPECT_EQ(sim::ScenarioSweep::merged_jsonl(s4.run(4)), serial);
 }
 
 TEST(ScenarioSweep, AllScenariosRunExactlyOnce) {
-  std::atomic<int> runs{0};
-  sim::ScenarioSweep sweep;
-  for (int i = 0; i < 25; ++i) {
-    sweep.add("n" + std::to_string(i), [&runs] {
+  constexpr std::size_t kScenarios = 25;
+  // 32 workers is more than there are indices: the pool is clamped to 25.
+  for (unsigned jobs : {1u, 4u, 32u}) {
+    std::atomic<std::size_t> runs{0};
+    std::vector<int> calls(kScenarios, 0);
+    sim::run_indexed(kScenarios, jobs, [&](std::size_t i) {
       runs.fetch_add(1, std::memory_order_relaxed);
-      return std::string("ok");
+      ++calls[i];
     });
+    EXPECT_EQ(runs.load(), kScenarios) << "jobs " << jobs;
+    for (std::size_t i = 0; i < kScenarios; ++i) {
+      EXPECT_EQ(calls[i], 1) << "jobs " << jobs << " index " << i;
+    }
   }
-  const auto results = sweep.run(8);
-  EXPECT_EQ(runs.load(), 25);
-  for (const auto& r : results) EXPECT_EQ(r.output, "ok");
-}
 
-TEST(ScenarioSweep, MergedJsonlQuotesNonJsonOutputs) {
-  sim::ScenarioSweep sweep;
-  sweep.add("json", [] { return std::string("{\"x\": 1}"); });
-  sweep.add("text", [] { return std::string("plain"); });
-  const auto merged = sim::ScenarioSweep::merged_jsonl(sweep.run(1));
-  EXPECT_EQ(merged,
-            "{\"scenario\": \"json\", \"result\": {\"x\": 1}}\n"
-            "{\"scenario\": \"text\", \"result\": \"plain\"}\n");
+  // One worker runs every index inline on the caller, in order.
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  sim::run_indexed(5, 1, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 }  // namespace
