@@ -28,8 +28,6 @@
 #include <map>
 #include <utility>
 
-#include <coroutine>
-
 #include "app/topology.hpp"
 #include "common/bytes.hpp"
 #include "common/types.hpp"
@@ -79,8 +77,8 @@ class GatewayRouter {
   /// its InterIslandLink here).
   using SendFrameFn = UniqueFn<void(std::size_t dst_ring, Bytes frame)>;
 
-  /// `scope` is the gateway node's lifecycle scope: awaiter resume
-  /// trampolines are registered there so they die with the node.
+  /// `scope` is the gateway node's lifecycle scope: call()'s resume
+  /// events are registered there so they die with the node.
   GatewayRouter(const ShardMap& map, std::size_t ring, orb::RmiClient& client,
                 sim::TaskScope& scope, obs::Recorder& rec, SendFrameFn send)
       : map_(map),
@@ -115,25 +113,13 @@ class GatewayRouter {
   }
 
   /// Awaitable form: `Bytes reply = co_await router.call(request);`.
-  /// Mirrors RmiClient::call — the completion callback owns the parked
-  /// frame, so an abandoned router (teardown mid-forward) destroys rather
-  /// than leaks the caller.
-  struct CallAwaiter {
-    GatewayRouter& router;
-    Bytes request;
-    Bytes reply;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      router.route(std::move(request),
-                   [this, guard = sim::Simulator::CoroResume{h}](const Bytes& r) mutable {
-                     reply = r;
-                     router.scope_->after(0, std::move(guard));
-                   });
-    }
-    [[nodiscard]] Bytes await_resume() { return std::move(reply); }
-  };
-  [[nodiscard]] CallAwaiter call(Bytes request) {
-    return CallAwaiter{*this, std::move(request), {}};
+  /// Mirrors RmiClient::call — the completion owns the parked frame, so an
+  /// abandoned router (teardown mid-forward) destroys rather than leaks the
+  /// caller.
+  [[nodiscard]] auto call(Bytes request) {
+    return scope_->await_callback<Bytes>([this, request = std::move(request)](auto done) mutable {
+      route(std::move(request), std::move(done));
+    });
   }
 
   /// Link ingress: a misdirected request forwarded from ring `origin`.

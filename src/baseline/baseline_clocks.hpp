@@ -19,7 +19,6 @@
 //    (Figure 1's asynchrony argument).
 #pragma once
 
-#include <coroutine>
 #include <deque>
 #include <functional>
 #include <map>
@@ -38,7 +37,7 @@ namespace cts::baseline {
 /// competition, no continuity across failover.
 class PrimaryBackupClockService {
  public:
-  /// Move-only so the awaiter below can park its coroutine frame inside
+  /// Move-only so get_time() below can park its coroutine frame inside
   /// with destroy-on-drop semantics (same discipline as the CTS's
   /// RoundContinuation): tearing the service down mid-reading destroys the
   /// suspended caller instead of leaking it.
@@ -68,22 +67,11 @@ class PrimaryBackupClockService {
   [[nodiscard]] bool is_primary() const { return primary_; }
 
   /// Awaitable wrapper, mirroring ConsistentTimeService::get_time.  The
-  /// completion callback owns the parked frame (CoroResume guard); the
-  /// resume trampoline is owned by the node's lifecycle scope.
-  struct Awaiter {
-    PrimaryBackupClockService& svc;
-    ThreadId thread;
-    Micros value = 0;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      svc.read(thread, [this, guard = sim::Simulator::CoroResume{h}](Micros v) mutable {
-        value = v;
-        svc.gcs_.scope().after(0, std::move(guard));
-      });
-    }
-    Micros await_resume() const noexcept { return value; }
-  };
-  [[nodiscard]] Awaiter get_time(ThreadId t) { return Awaiter{*this, t, 0}; }
+  /// completion owns the parked frame; the resume is owned by the node's
+  /// lifecycle scope (TaskScope::await_callback).
+  [[nodiscard]] auto get_time(ThreadId t) {
+    return gcs_.scope().await_callback<Micros>([this, t](auto done) { read(t, std::move(done)); });
+  }
 
  private:
   struct PerThread {
@@ -105,8 +93,6 @@ class PrimaryBackupClockService {
   ReplicaId replica_;
   bool primary_ = false;
   std::map<ThreadId, PerThread> threads_;
-
-  friend struct Awaiter;
 };
 
 /// A hardware clock disciplined toward an external reference by periodic

@@ -132,12 +132,12 @@ class RoundContinuation {
   RoundContinuation() = default;
   /// Callback form.
   RoundContinuation(DoneFn f) : cb_(std::move(f)) {}  // NOLINT(google-explicit-constructor)
-  /// Coroutine form: on completion writes the value through `out` (which
-  /// must point into the suspended frame) and resumes `h` through the event
-  /// queue, matching Signal semantics.  The resume event is owned by the
-  /// replica's lifecycle scope, so a node that crashes between a round
-  /// completing and its caller resuming destroys the frame instead of
-  /// running dead-node code.
+  /// Coroutine form (how get_time() parks its caller): on completion
+  /// writes the value through `out` (which must point into the suspended
+  /// frame) and resumes `h` through the event queue.  The resume event is
+  /// owned by the replica's lifecycle scope, so a node that crashes between
+  /// a round completing and its caller resuming destroys the frame instead
+  /// of running dead-node code.
   RoundContinuation(std::coroutine_handle<> h, Micros* out, sim::TaskScope& scope)
       : coro_(h), out_(out), scope_(&scope) {}
 
@@ -245,39 +245,38 @@ class ConsistentTimeService {
   /// turn into a silently clobbered callback.
   bool start_round(ThreadId thread, ClockCallType call_type, DoneFn done);
 
-  /// Coroutine form of start_round(): parks `h` with destroy-on-drop
-  /// semantics so a service torn down mid-round cannot leak the suspended
-  /// frame.  On completion, writes the group clock through `out` and
-  /// resumes `h` via the event queue.  Same rejection rule as above.
-  bool start_round(ThreadId thread, ClockCallType call_type, std::coroutine_handle<> h,
-                   Micros* out) {
-    return start_round_impl(thread, call_type, RoundContinuation{h, out, scope_});
-  }
-
-  /// Awaitable form for simulated logical threads:
+  /// Awaitable form for simulated logical threads, and the one clock-round
+  /// awaiter every facade (TimeSyscalls, ConsistentIdGenerator,
+  /// CausalMessenger) is built on:
   ///   Micros now = co_await svc.get_time(thread);
+  /// The caller's frame is parked in the round with destroy-on-drop
+  /// semantics (a service torn down mid-round cannot leak it) and resumes
+  /// through the replica's scope with `then(group_clock)`.  A rejected
+  /// round (one already in flight on `thread`) resumes with
+  /// `then(kNoTime)` rather than suspending forever.
+  template <typename Then = std::identity>
   struct TimeAwaiter {
     ConsistentTimeService& svc;
     ThreadId thread;
     ClockCallType call_type;
+    Then then;
     Micros value = 0;
 
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) {
-      if (!svc.start_round(thread, call_type, h, &value)) {
-        // Rejected (a round is already in flight for this thread): resume
-        // with kNoTime rather than suspending forever.  The resume is
-        // scope-owned like every other node-scheduled event.
+      if (!svc.start_round_impl(thread, call_type, RoundContinuation{h, &value, svc.scope_})) {
         value = kNoTime;
         svc.scope_.after(0, sim::Simulator::CoroResume{h});
       }
     }
-    Micros await_resume() const noexcept { return value; }
+    auto await_resume() { return then(value); }
   };
 
-  [[nodiscard]] TimeAwaiter get_time(ThreadId thread,
-                                     ClockCallType ct = ClockCallType::kGettimeofday) {
-    return TimeAwaiter{*this, thread, ct, 0};
+  template <typename Then = std::identity>
+  [[nodiscard]] TimeAwaiter<Then> get_time(ThreadId thread,
+                                           ClockCallType ct = ClockCallType::kGettimeofday,
+                                           Then then = {}) {
+    return TimeAwaiter<Then>{*this, thread, ct, std::move(then)};
   }
 
   // --- Primary/backup control (passive & semi-active) ---------------------------
@@ -426,8 +425,6 @@ class ConsistentTimeService {
   obs::Counter* c_duplicates_ = nullptr;
   obs::Counter* c_reentrant_ = nullptr;
   Histogram* h_skew_ = nullptr;
-
-  friend struct TimeAwaiter;
 };
 
 }  // namespace cts::ccs

@@ -7,7 +7,6 @@
 // duplicate replies from active replicas are suppressed by the GCS layer.
 #pragma once
 
-#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -27,7 +26,7 @@ namespace cts::orb {
 class RmiClient {
  public:
   /// Completion callbacks are move-only (UniqueFn) so the coroutine
-  /// awaiters below can park their frame inside with destroy-on-drop
+  /// awaitables below can park their frame inside with destroy-on-drop
   /// semantics: a client torn down with invocations in flight destroys the
   /// suspended callers instead of leaking them.
   using ReplyFn = UniqueFn<void(const Bytes&)>;
@@ -59,55 +58,33 @@ class RmiClient {
                    TimeoutFn on_timeout = nullptr);
 
   /// Single-callback form: `complete` receives &reply, or nullptr on
-  /// timeout.  The awaiters use this so exactly one callable ever owns the
-  /// parked coroutine frame.
+  /// timeout.  The awaitables use this so exactly one callable ever owns
+  /// the parked coroutine frame.
   MsgSeqNum invoke_complete(Bytes request, CompleteFn complete, Micros timeout_us = 0);
 
   /// Awaitable form: `Bytes reply = co_await client.call(request);`
-  /// The completion callback owns the parked frame (CoroResume guard), and
-  /// the resume trampoline is owned by the client node's lifecycle scope.
-  struct CallAwaiter {
-    RmiClient& client;
-    Bytes request;
-    Bytes reply;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      client.invoke_complete(std::move(request),
-                             [this, guard = sim::Simulator::CoroResume{h}](const Bytes* r) mutable {
-                               reply = *r;  // never null without a timeout
-                               client.gcs_.scope().after(0, std::move(guard));
-                             });
-    }
-    Bytes await_resume() { return std::move(reply); }
-  };
-  [[nodiscard]] CallAwaiter call(Bytes request) {
-    return CallAwaiter{*this, std::move(request), {}};
+  /// The completion owns the parked frame, and the resume is owned by the
+  /// client node's lifecycle scope (TaskScope::await_callback).
+  [[nodiscard]] auto call(Bytes request) {
+    return gcs_.scope().await_callback<Bytes>(
+        [this, request = std::move(request)](auto done) mutable {
+          invoke_complete(std::move(request),
+                          // Never null: only a timed invocation completes with nullptr.
+                          [done = std::move(done)](const Bytes* r) mutable { done(*r); });
+        });
   }
 
   /// Awaitable timed invocation; resumes with nullopt on timeout.
-  struct TimedCallAwaiter {
-    RmiClient& client;
-    Bytes request;
-    Micros timeout_us;
-    std::optional<Bytes> reply;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      client.invoke_complete(
-          std::move(request),
-          [this, guard = sim::Simulator::CoroResume{h}](const Bytes* r) mutable {
-            if (r != nullptr) {
-              reply = *r;
-            } else {
-              reply = std::nullopt;
-            }
-            client.gcs_.scope().after(0, std::move(guard));
-          },
-          timeout_us);
-    }
-    std::optional<Bytes> await_resume() { return std::move(reply); }
-  };
-  [[nodiscard]] TimedCallAwaiter call_with_timeout(Bytes request, Micros timeout_us) {
-    return TimedCallAwaiter{*this, std::move(request), timeout_us, std::nullopt};
+  [[nodiscard]] auto call_with_timeout(Bytes request, Micros timeout_us) {
+    return gcs_.scope().await_callback<std::optional<Bytes>>(
+        [this, request = std::move(request), timeout_us](auto done) mutable {
+          invoke_complete(
+              std::move(request),
+              [done = std::move(done)](const Bytes* r) mutable {
+                done(r != nullptr ? std::optional<Bytes>(*r) : std::nullopt);
+              },
+              timeout_us);
+        });
   }
 
   [[nodiscard]] std::uint64_t invocations() const { return next_seq_ - 1; }
@@ -135,9 +112,6 @@ class RmiClient {
   std::map<MsgSeqNum, Outstanding> outstanding_;
   std::uint64_t replies_ = 0;
   std::uint64_t timeouts_ = 0;
-
-  friend struct CallAwaiter;
-  friend struct TimedCallAwaiter;
 };
 
 }  // namespace cts::orb

@@ -16,9 +16,10 @@
 // Two programming models are supported:
 //   * callback timers (`at` / `after` / `cancel` / `reschedule`) — used by
 //     protocol code (Totem token timeouts, retransmission timers);
-//   * C++20 coroutines (`co_await sim.delay(d)`, `co_await signal.wait()`) —
-//     used by application-level logical threads, which in the paper block in
-//     get_grp_clock_time() until the first CCS message of the round arrives.
+//   * C++20 coroutines (`co_await sim.delay(d)`, and the scope-owned
+//     awaiters in task_scope.hpp) — used by application-level logical
+//     threads, which in the paper block in get_grp_clock_time() until the
+//     first CCS message of the round arrives.
 #pragma once
 
 #include <cassert>
@@ -27,7 +28,6 @@
 #include <exception>
 #include <limits>
 #include <utility>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -227,58 +227,6 @@ class Simulator {
   std::uint64_t executed_ = 0;
   EventHeap heap_;
   Rng rng_;
-};
-
-/// A waitable condition for coroutines: logical threads block on it with
-/// `co_await signal.wait()` and are resumed by `notify_one/notify_all`.
-///
-/// This is the simulation analogue of the POSIX condition variable the
-/// paper's implementation uses to block the calling thread until the first
-/// CCS message of the round is received (Section 4.1).
-class Signal {
- public:
-  explicit Signal(Simulator& sim) : sim_(sim) {}
-
-  /// Waiters still suspended when the signal is destroyed can never be
-  /// resumed; destroy their frames so they do not leak.
-  ~Signal() {
-    for (auto h : waiters_) h.destroy();
-  }
-
-  Signal(const Signal&) = delete;
-  Signal& operator=(const Signal&) = delete;
-
-  struct Awaiter {
-    Signal& sig;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) { sig.waiters_.push_back(h); }
-    void await_resume() const noexcept {}
-  };
-
-  /// Suspend the current coroutine until notified.
-  Awaiter wait() { return Awaiter{*this}; }
-
-  /// Resume one waiter (FIFO), as a fresh simulator event at the current
-  /// simulated time.
-  void notify_one() {
-    if (waiters_.empty()) return;
-    auto h = waiters_.front();
-    waiters_.erase(waiters_.begin());
-    sim_.after(0, Simulator::CoroResume{h});
-  }
-
-  /// Resume all waiters.
-  void notify_all() {
-    auto ws = std::move(waiters_);
-    waiters_.clear();
-    for (auto h : ws) sim_.after(0, Simulator::CoroResume{h});
-  }
-
-  [[nodiscard]] std::size_t waiter_count() const { return waiters_.size(); }
-
- private:
-  Simulator& sim_;
-  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace cts::sim

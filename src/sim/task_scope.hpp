@@ -25,6 +25,11 @@
 // continuations (`ccs::RoundContinuation`) report the frames they destroyed
 // via `note_frames_destroyed()`.
 //
+// Logical threads suspend in exactly two ways above the simulator:
+// `delay()`, and `await_callback()` over a callback API (RMI replies,
+// gateway routes, baseline clock reads).  A clock round is awaited with
+// `ccs::ConsistentTimeService::get_time`.
+//
 // Determinism: `at`/`after` forward to the simulator unmodified (same
 // sequence-number consumption, zero per-event overhead beyond recording the
 // id), so non-crash schedules are byte-identical with or without a scope.
@@ -99,6 +104,50 @@ class TaskScope {
 
   /// `co_await scope.delay(d)` — the scoped analogue of Simulator::delay.
   DelayAwaiter delay(Micros d) { return DelayAwaiter{*this, d}; }
+
+  /// Move-only completion handed to an await_callback() starter.  Calling
+  /// it stores the value in the suspended frame and schedules the resume
+  /// through the scope; dropping it uncalled destroys the frame (the
+  /// CoroResume guard), so the frame is owned by whoever holds this.
+  template <typename T>
+  class Completion {
+   public:
+    Completion(TaskScope& scope, T* out, std::coroutine_handle<> h)
+        : scope_(&scope), out_(out), resume_(h) {}
+    void operator()(T v) {
+      *out_ = std::move(v);
+      scope_->after(0, std::move(resume_));
+    }
+
+   private:
+    TaskScope* scope_;
+    T* out_;
+    Simulator::CoroResume resume_;
+  };
+
+  template <typename T, typename Start>
+  struct CallbackAwaiter {
+    TaskScope& scope;
+    Start start;
+    T value{};
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      // Run the starter from the stack: if it drops the completion
+      // synchronously, the frame (and this awaiter) is already gone.
+      Start s = std::move(start);
+      s(Completion<T>(scope, &value, h));
+    }
+    T await_resume() { return std::move(value); }
+  };
+
+  /// `T v = co_await scope.await_callback<T>(start)` — adapt a callback
+  /// API to a logical thread: `start(Completion<T>)` hands the completion
+  /// to the callback API, and the caller resumes (one scope-owned event)
+  /// with the value it is called with.
+  template <typename T, typename Start>
+  [[nodiscard]] CallbackAwaiter<T, Start> await_callback(Start start) {
+    return CallbackAwaiter<T, Start>{*this, std::move(start)};
+  }
 
   /// Register a hook to run at the start of shutdown(), before the timer
   /// sweep.  Hooks run in registration order.  Components whose lifetime is

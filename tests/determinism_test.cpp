@@ -207,9 +207,9 @@ TEST(DeterminismTest, KvWorkloadIdenticalAcrossRuns) {
     Rng rng(99);
     int done_count = 0;
     for (int i = 0; i < 25; ++i) {
-      const std::string key = "k" + std::to_string(rng.below(6));
+      const std::string key = std::string("k").append(std::to_string(rng.below(6)));
       Bytes req = (i % 3 == 0) ? kv_acquire(key, 1 + rng.below(2), 5'000)
-                               : kv_put(key, "v" + std::to_string(i));
+                               : kv_put(key, std::string("v").append(std::to_string(i)));
       tb.client().invoke(std::move(req), [&](const Bytes&) { ++done_count; });
     }
     const Micros deadline = tb.sim().now() + 120'000'000;

@@ -223,8 +223,9 @@ TEST(GcsDeliveryTest, TotalOrderAcrossHosts) {
   // Each host sends on its own connection so nothing is a duplicate.
   for (int k = 0; k < 10; ++k) {
     for (std::uint32_t i = 0; i < 3; ++i) {
-      c.eps[i]->send(user_msg(GroupId{i}, GroupId{9}, ConnectionId{i}, static_cast<MsgSeqNum>(k + 1),
-                              "h" + std::to_string(i) + "." + std::to_string(k)));
+      c.eps[i]->send(
+          user_msg(GroupId{i}, GroupId{9}, ConnectionId{i}, static_cast<MsgSeqNum>(k + 1),
+                   std::string("h").append(std::to_string(i)) + "." + std::to_string(k)));
     }
   }
   c.sim.run_for(200'000);

@@ -38,7 +38,7 @@ namespace {
 // gateway forward path.
 std::string ring0_key(const ShardMap& map) {
   for (int i = 0;; ++i) {
-    std::string k = "h" + std::to_string(i);
+    std::string k = std::string("h").append(std::to_string(i));
     if (map.shard_of_key(k) == 0) return k;
   }
 }

@@ -37,11 +37,11 @@ TEST_P(KvCrashFuzz, LiveReplicasNeverDiverge) {
   bool recovering[3] = {false, false, false};
 
   auto issue = [&] {
-    const std::string key = "k" + std::to_string(fuzz.below(10));
+    const std::string key = std::string("k").append(std::to_string(fuzz.below(10)));
     Bytes req;
     switch (fuzz.below(5)) {
       case 0:
-        req = kv_put(key, "v" + std::to_string(issued), fuzz.below(3));
+        req = kv_put(key, std::string("v").append(std::to_string(issued)), fuzz.below(3));
         break;
       case 1:
         req = kv_get(key);

@@ -165,10 +165,10 @@ TEST(KvStoreTest, MixedWorkloadKeepsReplicasIdentical) {
   KvBed kv;
   Rng rng(33);
   for (int i = 0; i < 60; ++i) {
-    const std::string key = "k" + std::to_string(rng.below(8));
+    const std::string key = std::string("k").append(std::to_string(rng.below(8)));
     switch (rng.below(5)) {
       case 0:
-        kv.call(kv_put(key, "v" + std::to_string(i), rng.below(3)));
+        kv.call(kv_put(key, std::string("v").append(std::to_string(i)), rng.below(3)));
         break;
       case 1:
         kv.call(kv_get(key));

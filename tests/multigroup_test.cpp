@@ -261,6 +261,38 @@ TEST(MultigroupTest, BackAndForthConversationStaysCausal) {
   EXPECT_GT(chain[1], chain[0]);  // B's reply is causally after A's send
 }
 
+sim::Task send_stamped_into(CausalMessenger& m, Micros& out) {
+  Bytes body(1, 9);
+  out = co_await m.send(kGroupB, kInterConn, 1, std::move(body));
+}
+
+TEST(MultigroupTest, AwaitedSendWhileStreamRoundInFlightResumesWithNoTimeAndSendsNothing) {
+  // Streams are strictly sequential: an awaited send issued while the
+  // stream's thread already has a round in flight is rejected.  It must
+  // resume with kNoTime and multicast nothing; the in-flight round is
+  // untouched.
+  TwoGroupRig rig(0);
+  int delivered = 0;
+  rig.messengers[2]->subscribe(kInterConn,
+                               [&](const gcs::Message&, Micros, const Bytes&) { ++delivered; });
+  Micros first = 0;
+  Micros rejected = 0;
+  read_clock_into(*rig.svcs[0], first);  // a round on the stream's thread
+  send_stamped_into(*rig.messengers[0], rejected);
+  rig.sim.run_for(1'000'000);
+  EXPECT_EQ(rejected, kNoTime);
+  EXPECT_EQ(rig.svcs[0]->stats().reentrant_rejected, 1u);
+  EXPECT_NE(first, 0);  // the in-flight round still completed
+  EXPECT_EQ(delivered, 0);
+
+  // Control: the same send once the stream is idle is stamped and arrives.
+  Micros sent = 0;
+  send_stamped_into(*rig.messengers[0], sent);
+  rig.sim.run_for(1'000'000);
+  EXPECT_GT(sent, first);
+  EXPECT_EQ(delivered, 1);
+}
+
 TEST(MultigroupTest, MalformedStampIsRejectedCountedAndDoesNotRaiseFloor) {
   // Mirror of the totem malformed-packet suite, one layer up: payloads that
   // do not decode as a StampedPayload must be dropped on the subscriber's

@@ -348,7 +348,7 @@ TEST_P(OracleCrashFuzz, RandomizedFaultScheduleStaysClean) {
       }
     } else {
       ++issued;
-      tb.client().invoke(kv_put("k" + std::to_string(fuzz.below(8)), "v", 0),
+      tb.client().invoke(kv_put(std::string("k").append(std::to_string(fuzz.below(8))), "v", 0),
                          [&](const Bytes&) { ++answered; });
     }
   }

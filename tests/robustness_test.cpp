@@ -80,7 +80,7 @@ TEST(SafeDeliveryTest, SafeDoesNotReorderTotalOrder) {
   TotemRig rig(3);
   // Interleave safe and agreed messages from several senders.
   for (int k = 0; k < 10; ++k) {
-    rig.nodes[k % 3]->multicast(TotemRig::msg("m" + std::to_string(k)),
+    rig.nodes[k % 3]->multicast(TotemRig::msg(std::string("m").append(std::to_string(k))),
                                 k % 2 ? totem::DeliveryClass::kSafe
                                       : totem::DeliveryClass::kAgreed);
   }
@@ -288,7 +288,7 @@ TEST_P(TotemFuzz, NeverCrashedNodesAgreeUnderRandomFaults) {
     } else {
       // Multicast from a random live stable node.
       const auto s = fuzz.below(2);
-      const std::string body = "m" + std::to_string(sent++);
+      const std::string body = std::string("m").append(std::to_string(sent++));
       nodes[s]->multicast(Bytes(body.begin(), body.end()));
     }
   }

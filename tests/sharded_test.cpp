@@ -60,7 +60,9 @@ struct MultiLaneKv {
 TEST(ShardedTest, FourShardsServeDisjointKeys) {
   MultiLaneKv kv(4);
   for (int i = 0; i < 40; ++i) {
-    EXPECT_EQ(kv.call(kv_put("key" + std::to_string(i), "v" + std::to_string(i))).status,
+    EXPECT_EQ(kv.call(kv_put(std::string("key").append(std::to_string(i)),
+                             std::string("v").append(std::to_string(i))))
+                  .status,
               KvStatus::kOk);
   }
   // Keys spread across lanes; every lane holds something.
@@ -175,10 +177,10 @@ TEST(ShardedTest, MixedShardedWorkloadNeverDiverges) {
   MultiLaneKv kv(3, 3, 5);
   Rng rng(44);
   for (int i = 0; i < 80; ++i) {
-    const std::string key = "k" + std::to_string(rng.below(12));
+    const std::string key = std::string("k").append(std::to_string(rng.below(12)));
     switch (rng.below(4)) {
       case 0:
-        kv.call(kv_put(key, "v" + std::to_string(i), rng.below(3)));
+        kv.call(kv_put(key, std::string("v").append(std::to_string(i)), rng.below(3)));
         break;
       case 1:
         kv.call(kv_get(key));

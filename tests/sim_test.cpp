@@ -1,12 +1,14 @@
 // Unit tests for the discrete-event simulator: ordering, cancellation,
-// coroutine delays and signals.
+// coroutine delays and the scope-owned callback awaiter.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "sim/task_scope.hpp"
 
 namespace cts::sim {
 namespace {
@@ -176,70 +178,87 @@ TEST(SimulatorCoroTest, SequentialDelaysAccumulate) {
   EXPECT_EQ(trace, (std::vector<Micros>{10, 30, 60}));
 }
 
-Task wait_on(Signal& sig, int& wakeups, Simulator& sim, Micros& when) {
-  co_await sig.wait();
-  ++wakeups;
-  when = sim.now();
+// --- TaskScope::await_callback ---------------------------------------------------
+
+struct FrameProbe {
+  bool* destroyed;
+  ~FrameProbe() { *destroyed = true; }
+};
+
+using IntCompletion = TaskScope::Completion<int>;
+
+/// Awaits one callback whose completion the test holds in `slot`.
+Task await_slot(TaskScope& scope, std::optional<IntCompletion>& slot, bool* destroyed,
+                int* resumes, int* value) {
+  FrameProbe probe{destroyed};
+  *value = co_await scope.await_callback<int>(
+      [&slot](IntCompletion done) { slot.emplace(std::move(done)); });
+  ++*resumes;
 }
 
-TEST(SimulatorCoroTest, SignalNotifyOneWakesExactlyOne) {
+struct AwaitCallbackRig {
+  bool destroyed = false;  // declared first: outlives the frame it observes
+  int resumes = 0;
+  int value = 0;
   Simulator sim;
-  Signal sig(sim);
-  int wakeups = 0;
-  Micros when = -1;
-  wait_on(sig, wakeups, sim, when);
-  wait_on(sig, wakeups, sim, when);
-  sim.run();
-  EXPECT_EQ(wakeups, 0);
-  EXPECT_EQ(sig.waiter_count(), 2u);
+  TaskScope scope{sim};
+  std::optional<IntCompletion> slot;
 
-  sim.after(5, [&] { sig.notify_one(); });
-  sim.run();
-  EXPECT_EQ(wakeups, 1);
-  EXPECT_EQ(when, 5);
-  EXPECT_EQ(sig.waiter_count(), 1u);
+  AwaitCallbackRig() { await_slot(scope, slot, &destroyed, &resumes, &value); }
+};
+
+TEST(TaskScopeAwaitCallbackTest, CompletionResumesOnceThroughOneScopeEvent) {
+  AwaitCallbackRig r;
+  ASSERT_TRUE(r.slot.has_value());
+  EXPECT_EQ(r.sim.pending(), 0u);  // parked in the completion, not the heap
+  (*r.slot)(42);
+  EXPECT_EQ(r.resumes, 0);  // the resume is an event, never inline
+  EXPECT_EQ(r.sim.pending(), 1u);
+  EXPECT_EQ(r.scope.tracked(), 1u);  // ... owned by the scope
+  EXPECT_EQ(r.sim.run(), 1u);
+  EXPECT_EQ(r.resumes, 1);
+  EXPECT_EQ(r.value, 42);
+  EXPECT_TRUE(r.destroyed);  // ran to completion
+  r.slot.reset();            // a spent completion owns nothing
+  EXPECT_EQ(r.sim.run(), 0u);
+  EXPECT_EQ(r.resumes, 1);
 }
 
-TEST(SimulatorCoroTest, SignalNotifyAllWakesEveryone) {
-  Simulator sim;
-  Signal sig(sim);
-  int wakeups = 0;
-  Micros when = -1;
-  for (int i = 0; i < 5; ++i) wait_on(sig, wakeups, sim, when);
-  sim.run();
-  sim.after(7, [&] { sig.notify_all(); });
-  sim.run();
-  EXPECT_EQ(wakeups, 5);
-  EXPECT_EQ(sig.waiter_count(), 0u);
+Task await_dropped_at_once(TaskScope& scope, bool* destroyed, int* resumes) {
+  FrameProbe probe{destroyed};
+  (void)co_await scope.await_callback<int>([](IntCompletion) {});
+  ++*resumes;
 }
 
-TEST(SimulatorCoroTest, NotifyWithNoWaitersIsANoop) {
-  Simulator sim;
-  Signal sig(sim);
-  sig.notify_one();
-  sig.notify_all();
-  sim.run();
-  EXPECT_EQ(sig.waiter_count(), 0u);
+TEST(TaskScopeAwaitCallbackTest, DroppedCompletionDestroysTheFrame) {
+  AwaitCallbackRig r;
+  ASSERT_TRUE(r.slot.has_value());
+  EXPECT_FALSE(r.destroyed);
+  r.slot.reset();  // the callback API gives up without answering
+  EXPECT_TRUE(r.destroyed);
+  EXPECT_EQ(r.sim.run(), 0u);
+  EXPECT_EQ(r.resumes, 0);
+
+  // A starter that drops the completion before returning destroys the
+  // frame inside await_suspend (ASan checks nothing touches it after).
+  bool destroyed = false;
+  int resumes = 0;
+  await_dropped_at_once(r.scope, &destroyed, &resumes);
+  EXPECT_TRUE(destroyed);
+  EXPECT_EQ(r.sim.run(), 0u);
+  EXPECT_EQ(resumes, 0);
 }
 
-Task ping_pong(Simulator& /*sim*/, Signal& my_turn, Signal& their_turn,
-               std::vector<int>& trace, int label, int rounds) {
-  for (int i = 0; i < rounds; ++i) {
-    co_await my_turn.wait();
-    trace.push_back(label);
-    their_turn.notify_one();
-  }
-}
-
-TEST(SimulatorCoroTest, TwoCoroutinesAlternateViaSignals) {
-  Simulator sim;
-  Signal a(sim), b(sim);
-  std::vector<int> trace;
-  ping_pong(sim, a, b, trace, 1, 3);
-  ping_pong(sim, b, a, trace, 2, 3);
-  sim.after(0, [&] { a.notify_one(); });
-  sim.run();
-  EXPECT_EQ(trace, (std::vector<int>{1, 2, 1, 2, 1, 2}));
+TEST(TaskScopeAwaitCallbackTest, ShutdownBetweenCompletionAndResumeDestroysTheFrame) {
+  AwaitCallbackRig r;
+  (*r.slot)(7);  // value stored, resume event pending
+  ASSERT_FALSE(r.destroyed);
+  r.scope.shutdown();  // the node crashes before its thread resumes
+  EXPECT_TRUE(r.destroyed);
+  EXPECT_EQ(r.scope.timers_cancelled_on_shutdown(), 1u);
+  EXPECT_EQ(r.scope.frames_destroyed_on_shutdown(), 0u);  // swept, not hook-dropped
+  EXPECT_EQ(r.sim.run(), 0u);
+  EXPECT_EQ(r.resumes, 0);
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ TEST(TopologyTest, RingSeedsDifferPerRingButAreDeterministic) {
 TEST(TopologyTest, KeyAndSessionPlacementIsStableAndInRange) {
   const ShardMap map(TopologySpec{16, 3, true});
   for (int i = 0; i < 200; ++i) {
-    const std::string key = "k" + std::to_string(i);
+    const std::string key = std::string("k").append(std::to_string(i));
     const std::size_t shard = map.shard_of_key(key);
     EXPECT_LT(shard, map.rings());
     EXPECT_EQ(shard, map.shard_of_key(key));  // pure function of the key
@@ -87,7 +87,9 @@ TEST(TopologyTest, KeyAndSessionPlacementIsStableAndInRange) {
   // All shards of a 16-ring map are actually reachable from small key sets
   // (the multi-ring ctsim KV workload's local/remote key draw depends on this).
   std::set<std::size_t> hit;
-  for (int i = 0; i < 200; ++i) hit.insert(map.shard_of_key("k" + std::to_string(i)));
+  for (int i = 0; i < 200; ++i) {
+    hit.insert(map.shard_of_key(std::string("k").append(std::to_string(i))));
+  }
   EXPECT_EQ(hit.size(), map.rings());
 }
 

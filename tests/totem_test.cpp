@@ -106,11 +106,15 @@ TEST(TotemOrderTest, SingleSenderDeliveredEverywhereInOrder) {
   Cluster c(3);
   c.start_all();
   ASSERT_TRUE(c.converge());
-  for (int i = 0; i < 20; ++i) c.nodes[0]->multicast(msg("m" + std::to_string(i)));
+  for (int i = 0; i < 20; ++i) {
+    c.nodes[0]->multicast(msg(std::string("m").append(std::to_string(i))));
+  }
   c.sim.run_for(100'000);
   for (std::uint32_t i = 0; i < 3; ++i) {
     ASSERT_EQ(c.delivered[i].size(), 20u) << "node " << i;
-    for (int j = 0; j < 20; ++j) EXPECT_EQ(c.delivered[i][j], "m" + std::to_string(j));
+    for (int j = 0; j < 20; ++j) {
+      EXPECT_EQ(c.delivered[i][j], std::string("m").append(std::to_string(j)));
+    }
   }
 }
 
@@ -120,7 +124,8 @@ TEST(TotemOrderTest, ConcurrentSendersAgreeOnOneTotalOrder) {
   ASSERT_TRUE(c.converge());
   for (int i = 0; i < 25; ++i) {
     for (std::uint32_t n = 0; n < 4; ++n) {
-      c.nodes[n]->multicast(msg("n" + std::to_string(n) + "." + std::to_string(i)));
+      c.nodes[n]->multicast(
+          msg(std::string("n").append(std::to_string(n)) + "." + std::to_string(i)));
     }
   }
   c.sim.run_for(300'000);
@@ -134,7 +139,9 @@ TEST(TotemOrderTest, SenderOrderPreservedWithinEachSender) {
   Cluster c(3);
   c.start_all();
   ASSERT_TRUE(c.converge());
-  for (int i = 0; i < 30; ++i) c.nodes[1]->multicast(msg("a" + std::to_string(i)));
+  for (int i = 0; i < 30; ++i) {
+    c.nodes[1]->multicast(msg(std::string("a").append(std::to_string(i))));
+  }
   c.sim.run_for(200'000);
   // Extract node 1's messages from node 2's delivery order.
   std::vector<std::string> mine;
@@ -142,7 +149,7 @@ TEST(TotemOrderTest, SenderOrderPreservedWithinEachSender) {
     if (s[0] == 'a') mine.push_back(s);
   }
   ASSERT_EQ(mine.size(), 30u);
-  for (int i = 0; i < 30; ++i) EXPECT_EQ(mine[i], "a" + std::to_string(i));
+  for (int i = 0; i < 30; ++i) EXPECT_EQ(mine[i], std::string("a").append(std::to_string(i)));
 }
 
 TEST(TotemOrderTest, SelfDeliveryIncluded) {
@@ -163,7 +170,8 @@ TEST(TotemLossTest, TotalOrderSurvivesPacketLoss) {
   ASSERT_TRUE(c.converge(2'000'000));
   for (int i = 0; i < 50; ++i) {
     for (std::uint32_t n = 0; n < 4; ++n) {
-      c.nodes[n]->multicast(msg("n" + std::to_string(n) + "." + std::to_string(i)));
+      c.nodes[n]->multicast(
+          msg(std::string("n").append(std::to_string(n)) + "." + std::to_string(i)));
     }
   }
   c.sim.run_for(5'000'000);
@@ -180,7 +188,9 @@ TEST(TotemLossTest, RetransmissionsActuallyHappen) {
   Cluster c(3, ncfg);
   c.start_all();
   ASSERT_TRUE(c.converge(2'000'000));
-  for (int i = 0; i < 100; ++i) c.nodes[0]->multicast(msg("x" + std::to_string(i)));
+  for (int i = 0; i < 100; ++i) {
+    c.nodes[0]->multicast(msg(std::string("x").append(std::to_string(i))));
+  }
   c.sim.run_for(5'000'000);
   std::uint64_t retrans = 0, token_retrans = 0;
   for (auto& n : c.nodes) {
@@ -712,7 +722,9 @@ TEST(TotemFlowControlTest, RotationWindowCapsAFloodingSender) {
   ASSERT_TRUE(c.converge());
 
   // Node 0 floods 400 messages at once.
-  for (int i = 0; i < 400; ++i) c.nodes[0]->multicast(msg("f" + std::to_string(i)));
+  for (int i = 0; i < 400; ++i) {
+    c.nodes[0]->multicast(msg(std::string("f").append(std::to_string(i))));
+  }
 
   // Count deliveries at node 1 between consecutive token receipts there:
   // never more than the rotation window (plus the odd boundary effect).
@@ -740,8 +752,8 @@ TEST(TotemFlowControlTest, WindowSharedFairlyAmongSenders) {
   ASSERT_TRUE(c.converge());
   // Two nodes flood simultaneously; both must make continuous progress.
   for (int i = 0; i < 150; ++i) {
-    c.nodes[0]->multicast(msg("a" + std::to_string(i)));
-    c.nodes[1]->multicast(msg("b" + std::to_string(i)));
+    c.nodes[0]->multicast(msg(std::string("a").append(std::to_string(i))));
+    c.nodes[1]->multicast(msg(std::string("b").append(std::to_string(i))));
   }
   c.sim.run_for(5'000'000);
   ASSERT_EQ(c.delivered[2].size(), 300u);
@@ -811,7 +823,7 @@ INSTANTIATE_TEST_SUITE_P(
                       OrderParam{8, 0.0, 4}, OrderParam{3, 0.02, 5}, OrderParam{4, 0.05, 6},
                       OrderParam{5, 0.02, 7}, OrderParam{4, 0.08, 8}),
     [](const ::testing::TestParamInfo<OrderParam>& param_info) {
-      return "n" + std::to_string(param_info.param.nodes) + "_loss" +
+      return std::string("n").append(std::to_string(param_info.param.nodes)) + "_loss" +
              std::to_string(static_cast<int>(param_info.param.loss * 100)) + "_s" +
              std::to_string(param_info.param.seed);
     });
