@@ -249,39 +249,28 @@ class FlatSet {
   friend bool operator==(const FlatSet& a, const FlatSet& b) {
     return a.data_ == b.data_;
   }
+  template <typename K, typename Pred>
+  friend std::size_t erase_if(FlatSet<K>& s, Pred pred);
 
  private:
   storage_type data_;
 };
 
 /// Remove every entry matching `pred` from a FlatMap; returns the count.
-/// Drop-in for the `std::erase_if(std::map, pred)` call sites.
+/// Drop-in for the `std::erase_if(std::map, pred)` call sites: one stable
+/// compaction pass plus one range erase, so the survivors keep their order
+/// and removing k of n entries costs O(n), not O(k·n) tail shifts.
 template <typename Key, typename T, typename Pred>
 std::size_t erase_if(FlatMap<Key, T>& m, Pred pred) {
-  std::size_t removed = 0;
-  for (auto it = m.begin(); it != m.end();) {
-    if (pred(*it)) {
-      it = m.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
+  const auto keep_end = std::remove_if(m.begin(), m.end(), pred);
+  const auto removed = static_cast<std::size_t>(m.end() - keep_end);
+  m.erase(keep_end, m.end());
   return removed;
 }
 
 template <typename Key, typename Pred>
 std::size_t erase_if(FlatSet<Key>& s, Pred pred) {
-  std::size_t removed = 0;
-  for (auto it = s.begin(); it != s.end();) {
-    if (pred(*it)) {
-      it = s.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
-  return removed;
+  return std::erase_if(s.data_, pred);
 }
 
 /// Direct-indexed store for values keyed by small dense integer ids

@@ -484,6 +484,7 @@ void ConsistentTimeService::restore(const Bytes& state) {
 void ConsistentTimeService::set_recorder(obs::Recorder* rec) {
   rec_ = rec;
   orc_ = rec ? rec->oracle() : nullptr;
+  if (orc_) orc_->on_replica_joined(cfg_.group, cfg_.replica);
   if (rec) {
     c_rounds_ = &rec->counter("cts.rounds_completed");
     c_wins_ = &rec->counter("cts.rounds_won");

@@ -381,7 +381,7 @@ void GcsEndpoint::process_message(Message m) {
   if (orc_) {
     orc_->on_gcs_deliver(totem_.id(), m.hdr.dst_grp, m.hdr.conn,
                          static_cast<std::uint8_t>(m.hdr.type), m.hdr.tag, m.hdr.seq,
-                         m.hdr.sender_node, m.payload.span());
+                         m.hdr.sender_node, m.payload.span(), totem_.delivered_up_to());
   }
   // Index loop with a re-find per iteration: a callback may subscribe (CTS
   // construction during recovery paths), growing the vector — or a whole

@@ -149,11 +149,25 @@ void OrderingOracle::on_view_installed(NodeId node, std::uint64_t ring_id,
   v.ring_id = ring_id;
   v.members.assign(members.begin(), members.end());
   ++view_epoch_;  // invalidate every cached membership verdict
+  // Totem seqs restart with the ring and the node's store starts empty:
+  // old-ring marks can no longer be matched by a discard (value-only
+  // mutation, so cached pointers stay valid).
+  for_each_cursor_of(node, [](NodeCursor& cur) { cur.undiscarded.clear(); });
+}
+
+std::vector<NodeId> OrderingOracle::view_members() const {
+  std::vector<NodeId> members;
+  views_.for_each([&](std::uint32_t, const ViewInfo& v) {
+    members.insert(members.end(), v.members.begin(), v.members.end());
+  });
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
+  return members;
 }
 
 void OrderingOracle::on_gcs_deliver(NodeId node, GroupId dst_grp, ConnectionId conn,
                                     std::uint8_t type, ThreadId tag, MsgSeqNum seq, NodeId sender,
-                                    std::span<const std::uint8_t> payload) {
+                                    std::span<const std::uint8_t> payload, TotemSeq totem_seq) {
   ++checks_run_;
   ++*c_checks_;
 
@@ -196,18 +210,36 @@ void OrderingOracle::on_gcs_deliver(NodeId node, GroupId dst_grp, ConnectionId c
         return std::pair{h + 1, false};
       }
     }
+    if (stream.forgotten.contains(seq)) {
+      // Only a retained entry may answer here; never re-create a pruned one.
+      const auto f = stream.by_seq.find(seq);
+      if (f != stream.by_seq.end()) {
+        stream.hint = static_cast<std::size_t>(f - stream.by_seq.begin());
+      }
+      return std::pair{f, false};
+    }
     auto r = stream.by_seq.try_emplace(seq);
     stream.hint = static_cast<std::size_t>(r.first - stream.by_seq.begin());
     return r;
   }();
+  const auto key_text = [&] {
+    std::ostringstream os;
+    os << "grp " << dst_grp.value << " conn " << conn.value << " type "
+       << static_cast<int>(type) << " tag " << tag.value << " seq " << seq;
+    return os.str();
+  };
+  if (it == stream.by_seq.end()) {
+    violate(Check::kTotalOrder, node, ReplicaId{},
+            "delivery of forgotten key on " + key_text() +
+                ": every view member delivered it and Totem discarded it");
+    return;
+  }
   if (fresh) {
     it->second.index = canon.next_index++;
     it->second.payload_hash = hash;
+    ++canon.retained;
   } else if (it->second.payload_hash != hash) {
-    std::ostringstream os;
-    os << "payload divergence on grp " << dst_grp.value << " conn " << conn.value << " type "
-       << static_cast<int>(type) << " tag " << tag.value << " seq " << seq;
-    violate(Check::kTotalOrder, node, ReplicaId{}, os.str());
+    violate(Check::kTotalOrder, node, ReplicaId{}, "payload divergence on " + key_text());
   }
 
   NodeCursor& cur = cursor(pack_u32_pair(node.value, dst_grp.value));
@@ -220,6 +252,49 @@ void OrderingOracle::on_gcs_deliver(NodeId node, GroupId dst_grp, ConnectionId c
   }
   cur.last_index = it->second.index;
   cur.synced = true;
+  cur.undiscarded.emplace_back(totem_seq, cur.last_index);
+
+  if (canon.retained >= canon.prune_at) prune_canon(dst_grp.value, canon);
+}
+
+void OrderingOracle::on_totem_discard(NodeId node, TotemSeq upto) {
+  // Value-only mutation of the node's cursors: cached pointers stay valid.
+  for_each_cursor_of(node, [upto](NodeCursor& cur) {
+    auto end = cur.undiscarded.begin();
+    while (end != cur.undiscarded.end() && end->first <= upto) ++end;
+    if (end == cur.undiscarded.begin()) return;
+    cur.discarded = std::prev(end)->second + 1;
+    cur.undiscarded.erase(cur.undiscarded.begin(), end);
+  });
+}
+
+void OrderingOracle::prune_canon(std::uint32_t grp, GroupCanon& canon) {
+  // Forget entries below every view member's discard mark.  A member with
+  // no cursor for this group holds the mark at 0, as does an empty view
+  // set (nothing is known to have been discarded anywhere).
+  const std::vector<NodeId> members = view_members();
+  std::size_t below = members.empty() ? 0 : ~std::size_t{0};
+  for (const NodeId n : members) {
+    const auto c = cursors_.find(pack_u32_pair(n.value, grp));
+    below = std::min(below, c == cursors_.end() ? 0 : c->second.discarded);
+  }
+  for (auto& entry : canon.streams) {
+    StreamCanon& st = entry.second;
+    if (st.by_seq.size() <= kResendWindow) continue;
+    // One stable compaction over everything but the newest entries.
+    const auto old_end = st.by_seq.end() - static_cast<std::ptrdiff_t>(kResendWindow);
+    const auto new_end = std::remove_if(st.by_seq.begin(), old_end, [&](const auto& e) {
+      if (e.second.index >= below) return false;
+      st.forgotten.add(e.first);
+      return true;
+    });
+    if (new_end == old_end) continue;
+    canon.retained -= static_cast<std::size_t>(old_end - new_end);
+    st.by_seq.erase(new_end, old_end);
+    st.hint = 0;
+  }
+  // Next prune once the index has doubled, plus this prune's fixed cost.
+  canon.prune_at = 2 * canon.retained + canon.streams.size() + members.size() + 1;
 }
 
 // --- CTS ---------------------------------------------------------------------
@@ -241,6 +316,14 @@ void OrderingOracle::note_cross_shard(std::uint32_t src_group, std::uint32_t dst
   ++cross_shard_total_;
   ++*c_cross_shard_;
   ++cross_pairs_[pack_u32_pair(src_group, dst_group)];
+}
+
+std::size_t OrderingOracle::history_entries() const {
+  std::size_t n = 0;
+  for (const auto& [grp, canon] : canon_) n += canon.retained;
+  for (const auto& [key, tr] : rounds_) n += tr.agreed.size() + tr.sends.size();
+  for (const auto& [key, cur] : cursors_) n += cur.undiscarded.size();
+  return n;
 }
 
 OrderingOracle::CrossShardEdge OrderingOracle::worst_cross_shard_edge() const {
@@ -266,8 +349,15 @@ void OrderingOracle::on_ccs_send(GroupId grp, ReplicaId replica, ThreadId thread
     note_cross_shard(rs.floor_src_group, grp.value);
     violate(Check::kCausalFloor, NodeId{}, replica, os.str());
   }
-  sends_[pack_u32_pair(grp.value, thread.value)][RoundReplicaKey{round, replica.value}] =
+  const std::uint64_t key = pack_u32_pair(grp.value, thread.value);
+  ThreadRounds& tr = rounds_[key];
+  tr.sends[RoundReplicaKey{round, replica.value}] =
       SendInfo{proposed, rs.tracked_floor, rs.floor_src_group};
+  if (tr.agreed.size() + tr.sends.size() >= tr.prune_at) prune_rounds(key, tr);
+}
+
+void OrderingOracle::on_replica_joined(GroupId grp, ReplicaId replica) {
+  replica_state(grp, replica);
 }
 
 void OrderingOracle::on_round_complete(GroupId grp, ReplicaId replica, ThreadId thread,
@@ -277,9 +367,18 @@ void OrderingOracle::on_round_complete(GroupId grp, ReplicaId replica, ThreadId 
   ++*c_checks_;
 
   // Agreement: every replica completing (grp, thread, round) must observe
-  // the same group-clock value and the same synchronizer.
-  auto [rit, fresh] = rounds_[pack_u32_pair(grp.value, thread.value)].try_emplace(round);
-  if (fresh) {
+  // the same group-clock value and the same synchronizer.  A round every
+  // replica had already completed is forgotten, and completing it again is
+  // itself a violation.
+  const std::uint64_t key = pack_u32_pair(grp.value, thread.value);
+  ThreadRounds& tr = rounds_[key];
+  if (tr.forgotten.contains(round) && !tr.agreed.contains(round)) {
+    std::ostringstream os;
+    os << "round (thread " << thread.value << ", seq " << round << ") on grp " << grp.value
+       << " completed with value " << value << " winner " << winner.value
+       << " after every replica had completed it and its agreed value was forgotten";
+    violate(Check::kAgreement, NodeId{}, replica, os.str());
+  } else if (auto [rit, fresh] = tr.agreed.try_emplace(round); fresh) {
     rit->second = RoundRecord{value, winner.value};
   } else if (rit->second.value != value || rit->second.winner != winner.value) {
     std::ostringstream os;
@@ -293,20 +392,16 @@ void OrderingOracle::on_round_complete(GroupId grp, ReplicaId replica, ThreadId 
   // below the winner's floor-at-send breaks causality; a clamp that stays
   // above the floor is only counted.  Values at or above the proposal are
   // covered by the send-time check plus the monotone-raise of delivery.
-  if (auto group_sends = sends_.find(pack_u32_pair(grp.value, thread.value));
-      group_sends != sends_.end()) {
-    if (auto sit = group_sends->second.find(RoundReplicaKey{round, winner.value});
-        sit != group_sends->second.end()) {
-      if (value < sit->second.proposed) {
-        if (sit->second.floor_at_send != kNoTime && value <= sit->second.floor_at_send) {
-          std::ostringstream os;
-          os << "round (thread " << thread.value << ", seq " << round << ") value " << value
-             << " clamped below the winner's causal floor at send " << sit->second.floor_at_send;
-          note_cross_shard(sit->second.floor_src_group, grp.value);
-          violate(Check::kCausalFloor, NodeId{}, replica, os.str());
-        } else {
-          ++*c_clamped_;
-        }
+  if (auto sit = tr.sends.find(RoundReplicaKey{round, winner.value}); sit != tr.sends.end()) {
+    if (value < sit->second.proposed) {
+      if (sit->second.floor_at_send != kNoTime && value <= sit->second.floor_at_send) {
+        std::ostringstream os;
+        os << "round (thread " << thread.value << ", seq " << round << ") value " << value
+           << " clamped below the winner's causal floor at send " << sit->second.floor_at_send;
+        note_cross_shard(sit->second.floor_src_group, grp.value);
+        violate(Check::kCausalFloor, NodeId{}, replica, os.str());
+      } else {
+        ++*c_clamped_;
       }
     }
   }
@@ -329,6 +424,34 @@ void OrderingOracle::on_round_complete(GroupId grp, ReplicaId replica, ThreadId 
   }
   ts.last_round = round;
   ts.round_synced = true;
+
+  if (tr.agreed.size() + tr.sends.size() >= tr.prune_at) prune_rounds(key, tr);
+}
+
+void OrderingOracle::prune_rounds(std::uint64_t grp_thread, ThreadRounds& tr) {
+  // The lowest round every replica of the group has completed on this
+  // thread since its last reset; a replica with none holds it at 0.
+  const auto grp = static_cast<std::uint32_t>(grp_thread >> 32);
+  const auto thread = static_cast<std::uint32_t>(grp_thread & 0xffffffffu);
+  MsgSeqNum below = ~MsgSeqNum{0};
+  std::size_t replicas = 0;
+  for (auto it = replicas_.lower_bound(pack_u32_pair(grp, 0));
+       it != replicas_.end() && (it->first >> 32) == grp; ++it, ++replicas) {
+    const auto t = it->second.threads.find(thread);
+    const bool done = t != it->second.threads.end() && t->second.round_synced;
+    below = std::min(below, done ? t->second.last_round : MsgSeqNum{0});
+  }
+  if (replicas > 0 && below > 0) {
+    const auto agreed_end = tr.agreed.lower_bound(below);
+    if (agreed_end != tr.agreed.begin()) {
+      tr.forgotten.add(tr.agreed.begin()->first);
+      tr.forgotten.add(std::prev(agreed_end)->first);
+      tr.agreed.erase(tr.agreed.begin(), agreed_end);
+    }
+    tr.sends.erase(tr.sends.begin(), tr.sends.lower_bound(RoundReplicaKey{below, 0}));
+  }
+  // Next prune once the index has doubled, plus this prune's fixed cost.
+  tr.prune_at = 2 * (tr.agreed.size() + tr.sends.size()) + replicas + 1;
 }
 
 // --- Replication -------------------------------------------------------------
@@ -385,10 +508,13 @@ void OrderingOracle::on_recovery_epoch(GroupId grp, ReplicaId replica, MsgSeqNum
 // --- Lifecycle ---------------------------------------------------------------
 
 void OrderingOracle::on_node_reset(NodeId node) {
-  // Value-only mutation: cached pointers stay valid.
-  for (auto& [key, cur] : cursors_) {
-    if ((key >> 32) == node.value) cur.synced = false;
-  }
+  // Value-only mutation: cached pointers stay valid.  The discard mark
+  // stays: it holds the watermark until the node's Totem discards again,
+  // and the crash emptied its store, so no old mark can match a discard.
+  for_each_cursor_of(node, [](NodeCursor& cur) {
+    cur.synced = false;
+    cur.undiscarded.clear();
+  });
 }
 
 void OrderingOracle::on_replica_reset(GroupId grp, ReplicaId replica) {
@@ -413,7 +539,6 @@ void OrderingOracle::on_group_reset(GroupId grp) {
   // is deliberately NOT reset: the restored state must force the group
   // clock above every reading handed out before the outage.
   cts::erase_if(rounds_, [&](const auto& kv) { return (kv.first >> 32) == grp.value; });
-  cts::erase_if(sends_, [&](const auto& kv) { return (kv.first >> 32) == grp.value; });
   // Connection sequence numbers restart with the group, so (conn, type,
   // tag, seq) keys are legitimately reused: the canonical delivery
   // sequence rebuilds from the post-restart traffic.

@@ -33,6 +33,47 @@
 //      `upto`), verified by the adopter, and never rolls an earlier
 //      adoption back; recovery epochs are strictly increasing.
 //
+// Bounded history.  Totem forgets the safe, delivered prefix of its store
+// at every token visit; the oracle forgets by the same rule, so its
+// per-group history is O(in-flight) instead of O(run length):
+//
+//   * Canonical store.  Each node's cursor remembers the canonical index it
+//     had reached at every Totem seq it delivered; when the node's Totem
+//     discards up to seq d (on_totem_discard), the cursor's discard mark
+//     becomes the index reached at d.  An entry is forgotten once its index
+//     is below the discard mark of every member of every installed view (a
+//     member with no cursor, or no discard yet, holds the mark at 0), so
+//     every member has delivered it and no member's Totem store still
+//     holds it.  Each stream keeps its newest kResendWindow entries anyway.
+//     Sound because a later delivery of a forgotten key has one of three
+//     sources.  Totem cannot redeliver it: no store holds it.  A member
+//     that has not restarted has delivered past it, so the full history
+//     would reject the redelivery as out of order.  A restarted node's GCS
+//     duplicate filter starts empty, so it delivers what is re-sent above
+//     Totem as a new message: a promoted semi-active backup re-sends its
+//     last replies, the newest of their stream, and the window keeps them
+//     to be judged against the original payload as before.  (A promoted
+//     passive backup's replay re-sends the replies of its log; with
+//     checkpoints further apart than the window, a restarted node sent
+//     one of the older ones reports it as forgotten.)
+//   * Rounds.  A (group, thread) round and its proposal snapshots are
+//     forgotten once it is below the lowest round every replica of the
+//     group has completed on that thread since its last reset (a replica
+//     known from on_replica_joined with no such completion holds the mark
+//     at 0).
+//     Completing it again repeats a round whose agreed value every replica
+//     has passed: the full history would report a monotonicity or an
+//     agreement violation.
+//
+// Landing on forgotten history is itself a violation, never a silent pass:
+// a delivery of a forgotten key is total_order and a completion of a
+// forgotten round is agreement, each naming the full key.  Pruning runs
+// when an index has doubled since its last prune (amortised O(1) per hook,
+// no tunable).  Still unbounded: rounds_ of passive groups (backups
+// complete no rounds, so they hold the mark at 0 until promoted), and
+// whatever a node or replica that crashes for good holds back: the node
+// stays in its own last view, the replica in its group.
+//
 // The oracle lives in the Recorder (one per Testbed) and is reached through
 // the same nullable pointers the metrics wiring uses, so the stack runs
 // unchanged — and the hooks compile to nothing on the hot token-ring path —
@@ -45,6 +86,7 @@
 // directly with abort disabled and assert that each check fires.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -79,6 +121,12 @@ class OrderingOracle {
   };
   static constexpr std::size_t kCheckCount = 6;
 
+  /// Newest entries of each delivery stream kept whatever the watermark:
+  /// a promoted semi-active backup re-sends its last replies
+  /// (ReplicaManager::kReplyCacheSize), and a restarted node's fresh GCS
+  /// filter delivers them again, to be judged against the original payload.
+  static constexpr std::size_t kResendWindow = 32;
+
   struct Violation {
     Check check{};
     Micros at = 0;
@@ -97,9 +145,15 @@ class OrderingOracle {
 
   /// A message passed the GCS duplicate filter at `node` and is about to be
   /// handed to subscribers.  Join/leave control traffic never reaches here.
+  /// `totem_seq` is the node's Totem seq of the delivering message (the
+  /// last fragment's, for a reassembled one).
   void on_gcs_deliver(NodeId node, GroupId dst_grp, ConnectionId conn, std::uint8_t type,
                       ThreadId tag, MsgSeqNum seq, NodeId sender,
-                      std::span<const std::uint8_t> payload);
+                      std::span<const std::uint8_t> payload, TotemSeq totem_seq);
+
+  /// `node`'s Totem erased every message at or below `upto` on its current
+  /// ring from its store: none of them can be delivered there again.
+  void on_totem_discard(NodeId node, TotemSeq upto);
 
   // --- CTS hooks -------------------------------------------------------------
 
@@ -121,6 +175,10 @@ class OrderingOracle {
   /// `round` is the wire sequence number of the winning message.
   void on_round_complete(GroupId grp, ReplicaId replica, ThreadId thread, MsgSeqNum round,
                          Micros value, ReplicaId winner, bool special);
+
+  /// Replica (grp, replica) exists: it holds the group's round watermark
+  /// at 0 on every thread until it completes a round there.
+  void on_replica_joined(GroupId grp, ReplicaId replica);
 
   // --- Replication hooks -----------------------------------------------------
 
@@ -159,6 +217,11 @@ class OrderingOracle {
   /// The first violations (capped), for test diagnostics.
   [[nodiscard]] const std::vector<Violation>& violation_log() const { return log_; }
 
+  /// History the oracle currently retains: canonical entries, round
+  /// records, proposal snapshots and undiscarded delivery marks.  Bounded
+  /// by what is in flight, not by run length.
+  [[nodiscard]] std::size_t history_entries() const;
+
   /// Causal-floor violations whose floor was raised by a DIFFERENT group's
   /// stamp — the cross-shard causality metric ROADMAP item 1 gates on
   /// (must be zero).  The per-pair view gives the worst (src, dst) edge.
@@ -185,7 +248,8 @@ class OrderingOracle {
   // object moves the vector object, not its buffer) but dies when the
   // TARGET map itself inserts or erases.  Every structural mutation happens
   // inside the accessor that owns the cache (which refreshes it) or in the
-  // reset hooks (which null it).
+  // reset hooks (which null it).  Pruning erases only inside a stream's
+  // `by_seq` and a ThreadRounds, never from a map a cache points into.
 
   // (conn, type, tag) with conn/type packed into disjoint bit ranges of one
   // word — numeric order on `hi` is lexicographic (conn, type) order.
@@ -205,6 +269,16 @@ class OrderingOracle {
     std::size_t index = 0;       // position in the canonical sequence
     std::uint64_t payload_hash = 0;
   };
+  // Closed range of forgotten keys; empty while lo > hi.
+  struct ForgottenRange {
+    MsgSeqNum lo = ~MsgSeqNum{0};
+    MsgSeqNum hi = 0;
+    [[nodiscard]] bool contains(MsgSeqNum s) const { return lo <= s && s <= hi; }
+    void add(MsgSeqNum s) {
+      lo = std::min(lo, s);
+      hi = std::max(hi, s);
+    }
+  };
   // Canonical delivery store, two-level: stream -> (seq -> entry).  Seqs
   // within a stream are delivered in near-monotone order, so the inner map
   // grows by appends; a single flat (stream, seq) index would take an O(n)
@@ -219,14 +293,23 @@ class OrderingOracle {
     // stable under the tail-append inserts this map sees (and a stale hint
     // only costs the fallback search).
     std::size_t hint = 0;
+    // Seqs whose entries were pruned.  A stream is never erased by pruning,
+    // so a forgotten key cannot come back looking fresh.
+    ForgottenRange forgotten;
   };
   struct GroupCanon {
     FlatMap<StreamKey, StreamCanon> streams;
     std::size_t next_index = 0;
+    std::size_t retained = 0;  // entries across streams
+    std::size_t prune_at = 0;  // `retained` that triggers the next prune
   };
   struct NodeCursor {
     std::size_t last_index = 0;
     bool synced = false;  // false until the first delivery after (re)start
+    // 1 + last_index as of this node's latest Totem discard (0: none yet).
+    std::size_t discarded = 0;
+    // (Totem seq, last_index) of each delivery not yet discarded.
+    std::vector<std::pair<TotemSeq, std::size_t>> undiscarded;
   };
   struct ViewInfo {
     std::uint64_t ring_id = 0;
@@ -240,6 +323,13 @@ class OrderingOracle {
   struct RoundRecord {
     Micros value = kNoTime;
     std::uint32_t winner = ReplicaId::kInvalid;
+  };
+  // Per (group, thread): agreed results and proposal snapshots by round.
+  struct ThreadRounds {
+    FlatMap<MsgSeqNum, RoundRecord> agreed;
+    FlatMap<RoundReplicaKey, SendInfo> sends;  // (round, sender replica)
+    ForgottenRange forgotten;
+    std::size_t prune_at = 0;  // agreed + sends size that triggers a prune
   };
   struct ThreadState {
     Micros last_value = kNoTime;
@@ -264,6 +354,20 @@ class OrderingOracle {
   StreamCanon& stream_canon(std::uint32_t grp, GroupCanon& canon, StreamKey key);
   NodeCursor& cursor(std::uint64_t node_group_key);
   ReplicaState& replica_state(GroupId grp, ReplicaId r);
+
+  /// Visit `node`'s cursor in every group (cursors_ is keyed node-major).
+  template <typename F>
+  void for_each_cursor_of(NodeId node, F&& f) {
+    for (auto it = cursors_.lower_bound(pack_u32_pair(node.value, 0));
+         it != cursors_.end() && (it->first >> 32) == node.value; ++it) {
+      f(it->second);
+    }
+  }
+  /// Forget what no legal later hook can consult (see the header comment).
+  void prune_canon(std::uint32_t grp, GroupCanon& canon);
+  void prune_rounds(std::uint64_t grp_thread, ThreadRounds& tr);
+  /// Union of every node's installed view, sorted.
+  [[nodiscard]] std::vector<NodeId> view_members() const;
 
   sim::Simulator& sim_;
   MetricsRegistry& metrics_;
@@ -290,10 +394,7 @@ class OrderingOracle {
   FlatMap<std::uint32_t, GroupCanon> canon_;  // by group id
   FlatMap<std::uint64_t, NodeCursor> cursors_;  // (node << 32) | group
   DenseNodeIndex<ViewInfo> views_;            // by node id: one array load
-  // (group << 32 | thread) -> (round, sender replica) -> proposal snapshot
-  FlatMap<std::uint64_t, FlatMap<RoundReplicaKey, SendInfo>> sends_;
-  // (group << 32 | thread) -> round -> agreed result
-  FlatMap<std::uint64_t, FlatMap<MsgSeqNum, RoundRecord>> rounds_;
+  FlatMap<std::uint64_t, ThreadRounds> rounds_;  // (group << 32) | thread
   FlatMap<std::uint64_t, ReplicaState> replicas_;  // (group << 32) | replica
 
   // One-entry lookup caches for the hot hooks (see discipline note above).

@@ -240,6 +240,8 @@ class ReplicaManager {
   // that did make it out.
   std::deque<gcs::Message> reply_cache_;
   static constexpr std::size_t kReplyCacheSize = 32;
+  static_assert(kReplyCacheSize <= obs::OrderingOracle::kResendWindow,
+                "the oracle must still hold every reply a promoted backup re-sends");
   std::uint32_t since_checkpoint_ = 0;
   std::uint64_t checkpoint_seq_ = 0;   // seq for periodic kState messages
   // Hash-chained checkpoint history (newest last).  Extended whenever a

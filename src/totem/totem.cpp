@@ -472,9 +472,14 @@ void TotemNode::handle_token(Token tok) {
   token_aru_last_ = tok.aru;
   deliver_contiguous();
   // Discard the delivered prefix at or below that horizon: every member
-  // holds it, so no rtr request or recovery rebroadcast can name it.
+  // holds it, so no rtr request or recovery rebroadcast can name it.  The
+  // oracle forgets its own history of what this node delivered only once
+  // the message is gone from here too.
   const TotemSeq discard = std::min({token_aru_prev_, token_aru_last_, delivered_up_to_});
-  store_.erase(store_.begin(), store_.upper_bound(discard));
+  if (const auto end = store_.upper_bound(discard); end != store_.begin()) {
+    store_.erase(store_.begin(), end);
+    if (orc_) orc_->on_totem_discard(id_, discard);
+  }
 
   // 5. Forward the token after the hold time.
   scope_.after(cfg_.token_hold_us, [this, e = epoch_, tok = std::move(tok)]() mutable {
@@ -889,6 +894,7 @@ void TotemNode::install(const View& v) {
 
 void TotemNode::set_recorder(obs::Recorder* rec) {
   rec_ = rec;
+  orc_ = rec ? rec->oracle() : nullptr;
   if (rec) {
     c_token_pass_ = &rec->counter("totem.token_passes");
     c_rotations_ = &rec->counter("totem.token_rotations");

@@ -192,6 +192,9 @@ class TotemNode {
   /// Messages held in the current-ring store (sent or received, not yet
   /// discarded below the safe horizon).
   [[nodiscard]] std::size_t stored() const { return store_.size(); }
+  /// Highest seq delivered on the current ring: inside the deliver handler,
+  /// the seq of the message being delivered.
+  [[nodiscard]] TotemSeq delivered_up_to() const { return delivered_up_to_; }
 
  private:
   // --- Wire formats -------------------------------------------------------
@@ -373,6 +376,7 @@ class TotemNode {
   std::function<void()> token_obs_;
   TotemStats stats_;
   obs::Recorder* rec_ = nullptr;
+  obs::OrderingOracle* orc_ = nullptr;  // cached from rec_ in set_recorder()
   // Hot-path counters, resolved once in set_recorder().
   obs::Counter* c_token_pass_ = nullptr;
   obs::Counter* c_rotations_ = nullptr;

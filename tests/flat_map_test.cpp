@@ -217,6 +217,46 @@ TEST(FlatSetFuzz, MatchesStdSet) {
   }
 }
 
+TEST(FlatMapFuzz, EraseIfHalfOf100kMatchesStdMap) {
+  // The oracle's history pruning erases large interleaved fractions of its
+  // indexes at once: erase_if must keep the survivors' order and contents
+  // exactly as std::erase_if over std::map / std::set does.
+  Rng rng(17);
+  FlatMap<std::uint64_t, std::uint64_t> flat;
+  std::map<std::uint64_t, std::uint64_t> oracle;
+  FlatSet<std::uint64_t> flat_set;
+  std::set<std::uint64_t> oracle_set;
+  while (oracle.size() < 100'000) {
+    const std::uint64_t k = rng.next();
+    const std::uint64_t v = rng.next();
+    ASSERT_EQ(flat.try_emplace(k, v).second, oracle.try_emplace(k, v).second);
+    ASSERT_EQ(flat_set.insert(k).second, oracle_set.insert(k).second);
+  }
+  const auto odd_value = [](const auto& kv) { return (kv.second & 1u) != 0; };
+  const std::size_t removed = erase_if(flat, odd_value);
+  ASSERT_EQ(removed, std::erase_if(oracle, odd_value));
+  EXPECT_GT(removed, 45'000u);
+  EXPECT_LT(removed, 55'000u);
+  const auto odd_key = [](std::uint64_t k) { return (k & 1u) != 0; };
+  ASSERT_EQ(erase_if(flat_set, odd_key), std::erase_if(oracle_set, odd_key));
+
+  ASSERT_EQ(flat.size(), oracle.size());
+  auto fit = flat.begin();
+  for (const auto& [k, v] : oracle) {
+    ASSERT_EQ(fit->first, k);
+    ASSERT_EQ(fit->second, v);
+    ++fit;
+  }
+  ASSERT_EQ(flat_set.size(), oracle_set.size());
+  auto sit = flat_set.begin();
+  for (std::uint64_t k : oracle_set) {
+    ASSERT_EQ(*sit, k);
+    ++sit;
+  }
+  // The compacted map is still a working sorted index.
+  for (const auto& [k, v] : oracle) ASSERT_EQ(flat.at(k), v);
+}
+
 TEST(DenseNodeIndexTest, MatchesStdMapIterationOrder) {
   Rng rng(13);
   DenseNodeIndex<std::uint64_t> dense;

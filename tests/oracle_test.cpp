@@ -7,18 +7,23 @@
 //      nothing.
 //   2. Negative controls: legal histories (including restarts, which
 //      legitimately rewind cursors and round numbers) produce zero
-//      violations.
+//      violations.  The bounded-history tests repeat both at a scale that
+//      crosses the pruning schedule, and check that landing on forgotten
+//      history fires.
 //   3. End-to-end: a randomized crash/restart fuzz over the full Testbed
 //      stack with the oracle live on every delivery, and the sending-
 //      representative crash handoff across groups (paper Section 5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "app/kv_store.hpp"
 #include "app/testbed.hpp"
+#include "app/time_server.hpp"
 #include "clock/physical_clock.hpp"
 #include "cts/consistent_time_service.hpp"
 #include "cts/multigroup.hpp"
@@ -47,10 +52,51 @@ struct OracleRig {
   TraceLog trace;
   OrderingOracle orc{sim, metrics, trace, /*abort_on_violation=*/false};
 
+  /// Install one ring view of nodes 0..n-1 at every member.
+  void view(std::uint32_t n) {
+    std::vector<NodeId> members;
+    for (std::uint32_t i = 0; i < n; ++i) members.push_back(NodeId{i});
+    for (const NodeId m : members) orc.on_view_installed(m, /*ring_id=*/1, members);
+  }
+
+  /// Each of `nodes` delivers seqs [from, to] in order, and its Totem
+  /// discards two seqs behind, as the safe horizon lags delivery.
+  void deliver_range(std::initializer_list<std::uint32_t> nodes, MsgSeqNum from, MsgSeqNum to,
+                     std::uint8_t salt = 0) {
+    for (MsgSeqNum s = from; s <= to; ++s) {
+      for (const std::uint32_t n : nodes) {
+        deliver(n, s, static_cast<std::uint8_t>(s + salt), /*sender=*/0);
+        if (s > 2) orc.on_totem_discard(NodeId{n}, s - 2);
+      }
+    }
+  }
+
+  /// Every replica in 0..n-1 proposes and completes rounds [from, to].
+  void complete_rounds(std::uint32_t n, MsgSeqNum from, MsgSeqNum to, Micros value_base = 0) {
+    for (MsgSeqNum round = from; round <= to; ++round) {
+      const auto value = value_base + static_cast<Micros>(round) * 1'000;
+      for (std::uint32_t rep = 0; rep < n; ++rep) {
+        orc.on_ccs_send(kGrp, ReplicaId{rep}, kThread, round, value, false);
+      }
+      for (std::uint32_t rep = 0; rep < n; ++rep) {
+        orc.on_round_complete(kGrp, ReplicaId{rep}, kThread, round, value, ReplicaId{0}, false);
+      }
+    }
+  }
+
+  [[nodiscard]] bool logged(const std::string& text) const {
+    for (const auto& v : orc.violation_log()) {
+      if (v.detail.find(text) != std::string::npos) return true;
+    }
+    return false;
+  }
+
+  /// Deliver `seq` at `node`; Totem carries it at the same seq.
   void deliver(std::uint32_t node, MsgSeqNum seq, std::uint8_t payload_byte,
                std::uint32_t sender = 9) {
     const std::uint8_t payload[1] = {payload_byte};
-    orc.on_gcs_deliver(NodeId{node}, kGrp, kConn, kType, kThread, seq, NodeId{sender}, payload);
+    orc.on_gcs_deliver(NodeId{node}, kGrp, kConn, kType, kThread, seq, NodeId{sender}, payload,
+                       /*totem_seq=*/seq);
   }
 };
 
@@ -272,6 +318,134 @@ TEST(OracleInjection, GroupResetStillRequiresValueMonotonicity) {
   EXPECT_GE(r.orc.violations(Check::kClockMonotonicity), 1u);
 }
 
+// --- Bounded history -----------------------------------------------------------
+//
+// Enough traffic to cross the doubling pruning schedule many times over;
+// the bound on retained history is far below it.
+
+constexpr MsgSeqNum kScale = 4'000;
+constexpr std::size_t kBounded = 200;
+
+TEST(OracleInjection, SyncedRedeliveryOfForgottenKeyFires) {
+  OracleRig r;
+  r.view(3);
+  r.deliver_range({0, 1, 2}, 1, kScale);
+  EXPECT_EQ(r.orc.violations(), 0u);
+  EXPECT_LT(r.orc.history_entries(), kBounded);
+  r.deliver(0, 5, 5, /*sender=*/0);  // every member passed seq 5 long ago
+  EXPECT_EQ(r.orc.violations(Check::kTotalOrder), 1u);
+  EXPECT_EQ(r.orc.violations(), 1u);
+  EXPECT_TRUE(r.logged("delivery of forgotten key on grp 1 conn 100 type 3 tag 0 seq 5"));
+}
+
+TEST(OracleInjection, ReusedKeyWithNewPayloadAfterEveryMemberPassedFires) {
+  // A promoted primary that restarts a stream's seqs sends old keys with
+  // new bytes; a node whose GCS filter restarted with it delivers them.
+  OracleRig r;
+  r.view(3);
+  r.deliver_range({0, 1, 2}, 1, kScale);
+  r.orc.on_node_reset(NodeId{2});
+  r.deliver(2, 1, 0xEE, /*sender=*/0);
+  EXPECT_EQ(r.orc.violations(Check::kTotalOrder), 1u);
+  EXPECT_TRUE(r.logged("delivery of forgotten key on grp 1 conn 100 type 3 tag 0 seq 1"));
+  // Inside the re-send window the original payload is still there to
+  // compare against.
+  r.orc.on_node_reset(NodeId{2});
+  r.deliver(2, kScale - 1, 0xEE, /*sender=*/0);
+  EXPECT_EQ(r.orc.violations(Check::kTotalOrder), 2u);
+  EXPECT_TRUE(r.logged("payload divergence on grp 1 conn 100 type 3 tag 0 seq " +
+                       std::to_string(kScale - 1)));
+}
+
+TEST(OracleInjection, CompletionOfForgottenRoundFires) {
+  OracleRig r;
+  r.complete_rounds(3, 1, kScale);
+  EXPECT_EQ(r.orc.violations(), 0u);
+  EXPECT_LT(r.orc.history_entries(), kBounded);
+  // A rebuilt replica re-runs round 3 with a fresh (higher) value.
+  r.orc.on_replica_reset(kGrp, ReplicaId{1});
+  r.orc.on_round_complete(kGrp, ReplicaId{1}, kThread, 3, (kScale + 1) * 1'000, ReplicaId{0},
+                          false);
+  EXPECT_EQ(r.orc.violations(Check::kAgreement), 1u);
+  EXPECT_EQ(r.orc.violations(), 1u);
+  EXPECT_TRUE(r.logged("round (thread 0, seq 3) on grp 1"));
+}
+
+TEST(OracleNegative, ViewMemberWithoutCursorHoldsWatermark) {
+  OracleRig r;
+  r.view(3);
+  r.deliver_range({0, 1}, 1, kScale);  // node 2 is in the view but silent
+  EXPECT_GE(r.orc.history_entries(), kScale);
+  r.deliver_range({2}, 1, kScale);  // ...and catches up late
+  EXPECT_EQ(r.orc.violations(), 0u);
+  // Once it has discarded too, the history shrinks back.
+  r.deliver_range({0, 1, 2}, kScale + 1, 3 * kScale);
+  EXPECT_EQ(r.orc.violations(), 0u);
+  EXPECT_LT(r.orc.history_entries(), kBounded);
+}
+
+TEST(OracleNegative, StaleCursorOfCrashedMemberHoldsWatermark) {
+  OracleRig r;
+  r.view(3);
+  r.deliver_range({0, 1, 2}, 1, 1'000);
+  // Node 2 crashes: no more deliveries or discards, still in every view.
+  r.deliver_range({0, 1}, 1'001, kScale);
+  EXPECT_GE(r.orc.history_entries(), kScale - 1'000);
+  // It restarts and is redelivered from just past its last discard.
+  r.orc.on_node_reset(NodeId{2});
+  r.deliver_range({2}, 999, kScale);
+  EXPECT_EQ(r.orc.violations(), 0u);
+}
+
+TEST(OracleNegative, NodeResetAllowsRedeliveryAtScale) {
+  OracleRig r;
+  r.view(3);
+  r.deliver_range({0, 1, 2}, 1, kScale);
+  EXPECT_LT(r.orc.history_entries(), kBounded);
+  // Restart: the node is redelivered what Totem still holds, and the
+  // replies a promoted backup re-sends from its cache.
+  r.orc.on_node_reset(NodeId{0});
+  for (MsgSeqNum s = kScale - OrderingOracle::kResendWindow + 1; s <= kScale; ++s) {
+    r.deliver(0, s, static_cast<std::uint8_t>(s), /*sender=*/0);
+  }
+  EXPECT_EQ(r.orc.violations(), 0u);
+}
+
+TEST(OracleNegative, ReplicaResetResyncsRoundNumbersButNotValuesAtScale) {
+  OracleRig r;
+  r.complete_rounds(3, 1'000, 1'000 + kScale);
+  EXPECT_LT(r.orc.history_entries(), kBounded);
+  r.orc.on_replica_reset(kGrp, ReplicaId{0});
+  // The rebuilt replica resumes from a checkpointed round counter below
+  // anything recorded: never recorded, so not forgotten...
+  const Micros last = (1'000 + kScale) * 1'000;
+  r.orc.on_round_complete(kGrp, ReplicaId{0}, kThread, 3, last + 200, ReplicaId{0}, false);
+  EXPECT_EQ(r.orc.violations(), 0u);
+  // ...but its clock values must still move forward.
+  r.orc.on_round_complete(kGrp, ReplicaId{0}, kThread, 4, 800, ReplicaId{0}, false);
+  EXPECT_GE(r.orc.violations(Check::kClockMonotonicity), 1u);
+  EXPECT_EQ(r.orc.violations(Check::kAgreement), 0u);
+}
+
+TEST(OracleNegative, GroupResetClearsAgreementAndCanonAtScale) {
+  OracleRig r;
+  r.view(3);
+  r.deliver_range({0, 1, 2}, 1, kScale);
+  r.complete_rounds(3, 1, kScale);
+  EXPECT_LT(r.orc.history_entries(), kBounded);
+  // Total failure: connection sequences and round numbers restart (also
+  // below everything forgotten), values climb above everything before.
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    r.orc.on_node_reset(NodeId{i});
+    r.orc.on_replica_reset(kGrp, ReplicaId{i});
+  }
+  r.orc.on_group_reset(kGrp);
+  r.deliver_range({0, 1, 2}, 1, kScale, /*salt=*/1);  // same keys, new payloads
+  r.complete_rounds(3, 1, kScale, /*value_base=*/kScale * 1'000);
+  EXPECT_EQ(r.orc.violations(), 0u);
+  EXPECT_LT(r.orc.history_entries(), kBounded);
+}
+
 // --- Bookkeeping ---------------------------------------------------------------
 
 TEST(OracleTest, ViolationCountersAndNamesLineUp) {
@@ -380,6 +554,45 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(static_cast<int>(i.param.loss * 100)) + "_sh" +
              std::to_string(i.param.lanes);
     });
+
+// --- End-to-end: bounded history on the paper's Figure 5 set-up -----------------
+
+sim::Task get_time_loop(Testbed& tb, int ops, int& done) {
+  for (int i = 0; i < ops; ++i) {
+    co_await tb.client().call(make_get_time_request());
+    ++done;
+  }
+}
+
+TEST(OracleMemory, HistoryStaysBoundedUnderBackToBackGetTime) {
+  // 1 ring x 3 active TimeServerApp replicas, one client issuing GET_TIME
+  // back to back.  Unpruned, the history grows by several entries per op
+  // (a request, a reply, a round and its proposals); pruned, its peak over
+  // the last stretch before 4N ops stays where it was before N.
+  Testbed tb(TestbedConfig{});
+  tb.start();
+  const auto* orc = tb.recorder().oracle();
+  ASSERT_NE(orc, nullptr);
+  constexpr int kOps = 1'000;
+  int done = 0;
+  get_time_loop(tb, 4 * kOps, done);
+  const auto peak_until = [&](int target) {
+    std::size_t peak = 0;
+    const Micros deadline = tb.sim().now() + 60'000'000;
+    while (done < target && tb.sim().now() < deadline) {
+      tb.sim().run_until(tb.sim().now() + 1'000);
+      if (done > target - kOps / 2) peak = std::max(peak, orc->history_entries());
+    }
+    return peak;
+  };
+  const std::size_t peak_n = peak_until(kOps);
+  const std::size_t peak_4n = peak_until(4 * kOps);
+  ASSERT_EQ(done, 4 * kOps);
+  EXPECT_EQ(orc->violations(), 0u);
+  EXPECT_GT(orc->checks_run(), static_cast<std::uint64_t>(4 * kOps));
+  EXPECT_LE(peak_4n, peak_n + 32) << "peak near N: " << peak_n << ", near 4N: " << peak_4n;
+  EXPECT_LT(peak_4n, static_cast<std::size_t>(kOps));
+}
 
 }  // namespace
 }  // namespace cts::app
