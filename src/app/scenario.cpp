@@ -149,13 +149,32 @@ void finish(ScenarioReport& rep, const ScenarioSpec& s) {
 
 /// The run's one export: the --metrics-json/--trace-jsonl files, the
 /// CTS_* environment files (both in the format the recorder count picks,
-/// obs/merge.hpp) and, with --verbose, one summary per recorder.
+/// obs/merge.hpp) and, with --verbose, one summary per recorder.  A trace
+/// file cut at the per-ring cap says so on stderr.
 void export_run(const ScenarioSpec& s, const std::vector<obs::Recorder*>& recs,
                 const std::string& obs_label, ScenarioReport& rep) {
   if (!obs::export_files(recs, s.metrics_json, s.trace_jsonl)) {
     std::fprintf(stderr, "warning: could not write --metrics-json/--trace-jsonl\n");
   }
   obs::export_from_env(recs, obs_label);
+  const auto env_set = [](const char* name) {
+    const char* v = std::getenv(name);
+    return v != nullptr && *v != '\0';
+  };
+  std::uint64_t recorded = 0;
+  std::uint64_t dropped = 0;
+  for (const obs::Recorder* rec : recs) {
+    recorded += rec->trace().recorded();
+    dropped += rec->trace().dropped();
+  }
+  if (dropped > 0 &&
+      (!s.trace_jsonl.empty() || env_set("CTS_OBS_DIR") || env_set("CTS_TRACE_JSONL"))) {
+    std::fprintf(stderr,
+                 "note: trace cut at its cap: %llu events recorded, %llu dropped (not in the "
+                 "export)\n",
+                 static_cast<unsigned long long>(recorded),
+                 static_cast<unsigned long long>(dropped));
+  }
   if (s.verbose) {
     for (obs::Recorder* rec : recs) rep.summaries.push_back(rec->summary());
   }

@@ -1,6 +1,5 @@
 #include "obs/merge.hpp"
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -14,31 +13,34 @@ namespace cts::obs {
 
 namespace {
 
-struct Tagged {
-  const TraceEvent* e;
-  std::size_t island;
-  std::size_t pos;  // record order within the island
-};
-
 // Streams the merged document row by row, so a file export never holds it
-// as one string.
+// as one string.  One cursor per island: each island's log is
+// non-decreasing in `at` (trace.hpp), so taking the smallest (at, island)
+// head each time yields the canonical (at, island, within-island position)
+// order.
 void write_merged_trace_jsonl(std::ostream& out, const std::vector<Recorder*>& islands) {
-  std::vector<Tagged> all;
-  std::size_t total = 0;
-  for (const Recorder* rec : islands) total += rec->trace().events().size();
-  all.reserve(total);
-  for (std::size_t i = 0; i < islands.size(); ++i) {
-    const auto& evs = islands[i]->trace().events();
-    for (std::size_t p = 0; p < evs.size(); ++p) all.push_back(Tagged{&evs[p], i, p});
+  struct Cursor {
+    TraceLog::const_iterator head;
+    std::size_t left;
+  };
+  std::vector<Cursor> cursors;
+  cursors.reserve(islands.size());
+  for (const Recorder* rec : islands) cursors.push_back({rec->trace().begin(), rec->trace().size()});
+  for (;;) {
+    Cursor* next = nullptr;
+    std::size_t island = 0;
+    for (std::size_t i = 0; i < cursors.size(); ++i) {
+      Cursor& c = cursors[i];
+      if (c.left > 0 && (next == nullptr || c.head->at < next->head->at)) {
+        next = &c;
+        island = i;
+      }
+    }
+    if (next == nullptr) return;
+    write_jsonl_row(out, *next->head, island);
+    ++next->head;
+    --next->left;
   }
-  // Each island's log is already non-decreasing in `at`; the canonical
-  // total order is (at, island, within-island position).
-  std::sort(all.begin(), all.end(), [](const Tagged& x, const Tagged& y) {
-    if (x.e->at != y.e->at) return x.e->at < y.e->at;
-    if (x.island != y.island) return x.island < y.island;
-    return x.pos < y.pos;
-  });
-  for (const Tagged& t : all) write_jsonl_row(out, *t.e, t.island);
 }
 
 /// Write one document to `path`; false if the file could not be opened or
@@ -82,7 +84,7 @@ bool export_files(const std::vector<Recorder*>& recs, const std::string& metrics
     if (merged) {
       write_merged_trace_jsonl(out, recs);
     } else {
-      for (const TraceEvent& e : recs[0]->trace().events()) write_jsonl_row(out, e);
+      for (const TraceEvent& e : recs[0]->trace()) write_jsonl_row(out, e);
     }
   };
   const bool metrics_ok = metrics_path.empty() || write_file(metrics_path, write_metrics);

@@ -12,7 +12,7 @@ std::string Recorder::summary() {
   // detlint:allow(hot-path-map): export-time tally over the finished trace,
   // not a per-event path; sorted-by-name output is the point.
   std::map<std::string, std::size_t> tallies;
-  for (const auto& e : trace_.events()) ++tallies[to_string(e.kind)];
+  for (const TraceEvent& e : trace_) ++tallies[to_string(e.kind)];
   for (const auto& [name, n] : tallies) out << "trace." << name << " " << n << "\n";
   if (trace_.dropped() > 0) out << "trace.dropped " << trace_.dropped() << "\n";
   return out.str();

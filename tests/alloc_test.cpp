@@ -8,7 +8,10 @@
 //   * a unicast send allocates the payload once, not twice (the historical
 //     double copy: caller -> send() -> deliver closure);
 //   * scheduling events whose closures fit InlineFn's 48-byte inline buffer
-//     allocates nothing at steady state (the event arena is warm).
+//     allocates nothing at steady state (the event arena is warm);
+//   * the trace log stores a record in at most 16 bytes (a TraceEvent is
+//     48), and the island merge holds one cursor per island, not one
+//     pointer per event.
 //
 // Every measurement runs after a warm-up round so one-time arena growth
 // (event-heap slots, NIC queues) is excluded; what remains is the per-send
@@ -16,11 +19,19 @@
 // nothing in the library links against them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "net/network.hpp"
+#include "obs/recorder.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -178,3 +189,93 @@ TEST(AllocTest, BroadcastDeliveryClosuresDoNotAllocateAtSteadyState) {
 
 }  // namespace
 }  // namespace cts::net
+
+namespace cts::obs {
+namespace {
+
+/// Record `n` records shaped like a Figure 5 run's trace: token passes,
+/// GCS deliveries and CCS rounds with their skew samples, a few hundred
+/// microseconds apart on three nodes.
+void record_fig5_shaped(TraceLog& log, std::size_t n, Micros start, std::uint32_t seed) {
+  Micros at = start;
+  std::int64_t seq = 0;
+  std::int64_t round = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto node = static_cast<std::uint32_t>((i + seed) % 3);
+    at += static_cast<Micros>((i * 37 + seed) % 400);
+    switch (i % 6) {
+      case 0: log.record(at, EventKind::kTokenPass, node, ReplicaId::kInvalid, ++seq, 4); break;
+      case 1:
+      case 2: log.record(at, EventKind::kGcsDeliver, node, node, 3, seq, 100); break;
+      case 3: log.record(at, EventKind::kCcsRoundStart, node, node, 0, ++round); break;
+      case 4:
+        log.record(at, EventKind::kCcsRoundComplete, node, node, round, node, at + 1'234'567);
+        break;
+      default:
+        log.record(at, EventKind::kSkewSample, node, node,
+                   static_cast<std::int64_t>((i * 7919) % 200) - 100, round);
+        break;
+    }
+  }
+}
+
+TEST(AllocTest, TraceLogStoresARecordInAtMostSixteenBytes) {
+  constexpr std::size_t kRecords = std::size_t{1} << 16;
+  TraceLog log;
+  const AllocSnapshot before = snap();
+  record_fig5_shaped(log, kRecords, 0, 0);
+  const AllocSnapshot after = snap();
+  ASSERT_EQ(log.size(), kRecords);
+  EXPECT_LE(after.bytes - before.bytes, 16 * kRecords)
+      << (after.bytes - before.bytes) << " bytes for " << kRecords << " records";
+}
+
+TEST(AllocTest, IslandMergeExportKeepsSortedOrderWithOneCursorPerIsland) {
+  constexpr std::size_t kIslands = 3;
+  constexpr std::size_t kPerIsland = 20'000;
+  std::vector<std::unique_ptr<sim::Simulator>> sims;
+  std::vector<std::unique_ptr<Recorder>> recs;
+  std::vector<Recorder*> islands;
+  for (std::uint32_t i = 0; i < kIslands; ++i) {
+    sims.push_back(std::make_unique<sim::Simulator>(i + 1));
+    recs.push_back(std::make_unique<Recorder>(*sims.back()));
+    islands.push_back(recs.back().get());
+    // Same start and the same step pattern for islands 0 and 2: many rows
+    // tie on `at` across islands.
+    record_fig5_shaped(recs.back()->trace(), kPerIsland, 1'000, i == 1 ? 1 : 0);
+  }
+
+  // Reference: every event tagged and sorted by (at, island, position).
+  std::vector<std::tuple<Micros, std::size_t, std::size_t, TraceEvent>> all;
+  for (std::size_t i = 0; i < kIslands; ++i) {
+    std::size_t pos = 0;
+    for (const TraceEvent& e : islands[i]->trace()) all.emplace_back(e.at, i, pos++, e);
+  }
+  std::sort(all.begin(), all.end(), [](const auto& x, const auto& y) {
+    return std::tie(std::get<0>(x), std::get<1>(x), std::get<2>(x)) <
+           std::tie(std::get<0>(y), std::get<1>(y), std::get<2>(y));
+  });
+  std::ostringstream want;
+  for (const auto& [at, island, pos, e] : all) write_jsonl_row(want, e, island);
+  // Compared by hand: gtest's diff of two multi-megabyte strings is
+  // quadratic.
+  const std::string merged = merged_trace_jsonl(islands);
+  const std::string expect = want.str();
+  EXPECT_EQ(merged.size(), expect.size());
+  const auto diff = std::mismatch(merged.begin(), merged.end(), expect.begin(), expect.end());
+  EXPECT_TRUE(diff.first == merged.end())
+      << "first difference at byte " << (diff.first - merged.begin()) << ": "
+      << std::string(diff.first, std::min(diff.first + 120, merged.end()));
+
+  // The file export holds a cursor per island, not a 24-byte tag per event.
+  const std::string path = ::testing::TempDir() + "alloc_test_merge.trace.jsonl";
+  const AllocSnapshot before = snap();
+  ASSERT_TRUE(export_files(islands, "", path));
+  const AllocSnapshot after = snap();
+  std::remove(path.c_str());
+  EXPECT_LT(after.bytes - before.bytes, 24 * kIslands * kPerIsland / 4)
+      << "merged export allocated " << (after.bytes - before.bytes) << " bytes";
+}
+
+}  // namespace
+}  // namespace cts::obs

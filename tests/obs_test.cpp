@@ -6,8 +6,10 @@
 // rejected loudly, not silently).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "clock/physical_clock.hpp"
+#include "common/rng.hpp"
 #include "cts/consistent_time_service.hpp"
 #include "gcs/gcs.hpp"
 #include "net/network.hpp"
@@ -60,13 +63,128 @@ TEST(MetricsRegistryTest, JsonContainsCountersGaugesHistograms) {
 
 TEST(TraceLogTest, CapsStorageButCountsEverything) {
   TraceLog log(4);
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < 4; ++i) {
     log.record(i, EventKind::kTokenPass, 0, ReplicaId::kInvalid, i);
   }
-  EXPECT_EQ(log.events().size(), 4u);
+  EXPECT_EQ(log.size(), 4u);
+  EXPECT_EQ(log.dropped(), 0u);
+  for (int i = 4; i < 6; ++i) {
+    log.record(i, EventKind::kTokenPass, 0, ReplicaId::kInvalid, i);
+  }
+  EXPECT_EQ(log.size(), 4u);
   EXPECT_EQ(log.recorded(), 6u);
   EXPECT_EQ(log.dropped(), 2u);
   EXPECT_EQ(log.count(EventKind::kTokenPass), 4u);
+  std::int64_t expect = 0;
+  for (const TraceEvent& e : log) {
+    EXPECT_EQ(e.at, expect);
+    EXPECT_EQ(e.a, expect);
+    ++expect;
+  }
+  EXPECT_EQ(expect, 4);
+}
+
+void expect_same(const TraceEvent& got, const TraceEvent& want, std::size_t i) {
+  EXPECT_EQ(got.at, want.at) << "record " << i;
+  EXPECT_EQ(got.kind, want.kind) << "record " << i;
+  EXPECT_EQ(got.node, want.node) << "record " << i;
+  EXPECT_EQ(got.replica, want.replica) << "record " << i;
+  EXPECT_EQ(got.a, want.a) << "record " << i;
+  EXPECT_EQ(got.b, want.b) << "record " << i;
+  EXPECT_EQ(got.c, want.c) << "record " << i;
+}
+
+/// Decode the whole log and compare it field by field with `want`.
+void expect_log_equals(const TraceLog& log, const std::vector<TraceEvent>& want) {
+  ASSERT_EQ(log.size(), want.size());
+  std::size_t i = 0;
+  for (const TraceEvent& e : log) {
+    ASSERT_LT(i, want.size());
+    expect_same(e, want[i], i);
+    if (::testing::Test::HasFailure()) return;
+    ++i;
+  }
+  EXPECT_EQ(i, want.size());
+}
+
+/// a + d without signed overflow (the drawn values sit at the int64 limits).
+std::int64_t wrap_add(std::int64_t a, std::int64_t d) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) + static_cast<std::uint64_t>(d));
+}
+
+/// Rng-drawn records covering every corner of the delta-varint encoding:
+/// every kind byte (unknown ones too), INT64_MIN/MAX and 0 payloads, invalid
+/// and almost-invalid ids, and equal, increasing and decreasing times.
+std::vector<TraceEvent> random_events(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const auto payload = [&rng](std::int64_t prev) -> std::int64_t {
+    switch (rng.below(6)) {
+      case 0: return kMin;
+      case 1: return kMax;
+      case 2: return 0;
+      case 3: return wrap_add(prev, rng.range(-3, 3));  // near the previous value
+      case 4: return rng.range(-1000, 1000);
+      default: return static_cast<std::int64_t>(rng.next());
+    }
+  };
+  const auto id = [&rng](std::uint32_t invalid) -> std::uint32_t {
+    switch (rng.below(4)) {
+      case 0: return invalid;
+      case 1: return invalid - 1;
+      case 2: return static_cast<std::uint32_t>(rng.below(8));
+      default: return static_cast<std::uint32_t>(rng.next());
+    }
+  };
+  std::vector<TraceEvent> out;
+  out.reserve(n);
+  TraceEvent prev;
+  for (std::size_t i = 0; i < n; ++i) {
+    TraceEvent e;
+    switch (rng.below(5)) {
+      case 0: e.at = prev.at; break;
+      case 1: e.at = wrap_add(prev.at, rng.range(1, 1000)); break;
+      case 2: e.at = wrap_add(prev.at, -rng.range(1, 1000)); break;
+      case 3: e.at = rng.below(2) ? kMin : kMax; break;
+      default: e.at = static_cast<Micros>(rng.next()); break;
+    }
+    e.kind = static_cast<EventKind>(rng.below(2) ? rng.below(256) : rng.below(4));
+    e.node = id(NodeId::kInvalid);
+    e.replica = id(ReplicaId::kInvalid);
+    e.a = payload(prev.a);
+    e.b = payload(prev.b);
+    e.c = payload(prev.c);
+    out.push_back(e);
+    prev = e;
+  }
+  return out;
+}
+
+TEST(TraceLogTest, RandomRecordsRoundTripExactly) {
+  const std::vector<TraceEvent> want = random_events(17, 200'000);
+  TraceLog log(want.size());
+  for (const TraceEvent& e : want) log.record(e.at, e.kind, e.node, e.replica, e.a, e.b, e.c);
+  EXPECT_EQ(log.dropped(), 0u);
+  expect_log_equals(log, want);
+  // Every kind byte was drawn, unknown ones included.
+  std::vector<bool> seen(256, false);
+  for (const TraceEvent& e : want) seen[static_cast<std::uint8_t>(e.kind)] = true;
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), true), 256);
+}
+
+TEST(TraceLogTest, ClearResetsTheDeltaState) {
+  TraceLog log;
+  for (const TraceEvent& e : random_events(3, 1000)) {
+    log.record(e.at, e.kind, e.node, e.replica, e.a, e.b, e.c);
+  }
+  log.clear();
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.recorded(), 0u);
+  EXPECT_TRUE(log.begin() == log.end());
+  const std::vector<TraceEvent> want = random_events(4, 1000);
+  for (const TraceEvent& e : want) log.record(e.at, e.kind, e.node, e.replica, e.a, e.b, e.c);
+  expect_log_equals(log, want);
 }
 
 TEST(TraceLogTest, JsonlNamesKindsAndNullsInvalidIds) {

@@ -122,6 +122,25 @@ TEST(ScenarioTest, FlagExportsEqualEnvExports) {
   ASSERT_EQ(::unsetenv("CTS_OBS_DIR"), 0);
 }
 
+TEST(ScenarioTest, TraceExportSaysOnStderrWhenTheCapCutIt) {
+  // The trace cap is 2^19 events per ring; ~44 events an invocation puts
+  // 15000 invocations well past it and 40 well short.
+  const std::string path = ::testing::TempDir() + "scenario_test_cap.trace.jsonl";
+  for (const int invocations : {15'000, 40}) {
+    ScenarioSpec s;
+    s.invocations = invocations;
+    s.trace_jsonl = path;
+    ::testing::internal::CaptureStderr();
+    const ScenarioReport rep = run_scenario(s);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    std::remove(path.c_str());
+    EXPECT_TRUE(rep.ok) << invocations;
+    const bool capped = invocations > 40;
+    EXPECT_EQ(err.find("note: trace cut at its cap: ") != std::string::npos, capped) << err;
+    EXPECT_EQ(err.find(" dropped (not in the export)\n") != std::string::npos, capped) << err;
+  }
+}
+
 TEST(ScenarioArgsTest, ParsesEveryOptionKind) {
   std::string error;
   const auto a = parse({"--kv", "--lanes", "4", "--durable", "--crash", "1@100ms", "--recover",
