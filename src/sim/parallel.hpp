@@ -14,36 +14,41 @@
 //      time < W, where W = min(T0 + floor, bound) — independently, in
 //      parallel, with zero shared state;
 //   3. at the barrier the coordinator drains the mailboxes in canonical
-//      (source island, post order) order into the destination heaps, then
+//      (src, dst, FIFO) cell order into the destination heaps, then
 //      recomputes T0.
 //
 // Determinism: an island's schedule is a function of its own heap contents
 // and the mailbox drains.  Neither depends on the number of worker threads:
 // epoch windows are pure virtual-time arithmetic, and the drain order is
-// fixed by (src island, post seq) — a message's destination-side sequence
-// number (the FIFO tie-break within a timestamp) is assigned at the
-// single-threaded barrier, never by thread arrival order.  Hence a run with
-// N workers fires exactly the events, in exactly the order, of the serial
-// run — traces and metrics are byte-identical (proven by the double-run
-// test in tests/parallel_sim_test.cpp; doc/PARALLEL.md has the full
-// argument).
+// fixed by (src, dst, FIFO) cell order — a message's destination-side
+// sequence number (the FIFO tie-break within a timestamp) is assigned at
+// the single-threaded barrier, never by thread arrival order.  Hence a run
+// with N workers fires exactly the events, in exactly the order, of the
+// serial run — traces and metrics are byte-identical (proven by the
+// double-run test in tests/parallel_sim_test.cpp; doc/PARALLEL.md has the
+// full argument).
 //
 // Threading model: islands are pinned to workers (island i runs on worker
 // i % threads for the life of the run), worker 0 being the coordinating
 // thread itself, so threads == 1 spawns nothing and executes the islands
 // in index order on the caller — the exact serial path.  Mailbox cells are
 // (src, dst) pairs written only by src's worker during an epoch and read
-// only by the coordinator at the barrier; the barrier's mutex establishes
-// the happens-before edges, so the whole scheme is data-race-free (the TSan
-// CI leg runs the parallel suite at CTS_SIM_THREADS=4).
+// only by the coordinator at the barrier.  The barrier is two atomics:
+// the coordinator writes the window and then bumps the epoch generation
+// with release order, which every worker reads with acquire before it
+// touches an island; each worker's `fetch_sub` of the pending count is a
+// release, and the RMWs form one release sequence, so the coordinator's
+// acquire load that reads 0 happens-after every worker's epoch — mailbox
+// writes included.  The whole scheme is data-race-free (the TSan CI leg
+// runs the parallel suite at CTS_SIM_THREADS=3 and 4).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -52,6 +57,10 @@
 #include "common/types.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/simulator.hpp"
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace cts::sim {
 
@@ -96,7 +105,6 @@ class IslandCoordinator {
     assert(!running_started_ && "add_island after the first run_until");
     const auto id = static_cast<IslandId>(islands_.size());
     islands_.push_back(&sim);
-    post_seq_.push_back(0);
     const std::size_t k = islands_.size();
     mail_ = std::vector<std::vector<Entry>>(k * k);
     return id;
@@ -127,7 +135,6 @@ class IslandCoordinator {
            "cross-island delivery below the conservative window floor");
     auto& cell = mail_[src * islands_.size() + dst];
     cell.push_back(Entry{deliver_at, InlineFn(std::forward<F>(fn))});
-    ++post_seq_[src];
   }
 
   /// Run every island up to and including virtual time `t` (the multi-island
@@ -244,24 +251,18 @@ class IslandCoordinator {
       return;
     }
     in_epoch_ = true;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      window_ = w;
-      workers_pending_ = static_cast<unsigned>(workers_.size());
-      ++generation_;
-    }
-    cv_work_.notify_all();
+    window_ = w;
+    pending_.store(n - 1, std::memory_order_relaxed);
+    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
     // Worker 0 is this thread: islands 0, n, 2n, ...
     std::uint64_t fired = 0;
     for (std::size_t i = 0; i < islands_.size(); i += n) {
       fired += islands_[i]->run_events_before(w);
     }
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_done_.wait(lk, [&] { return workers_pending_ == 0; });
-      stats_.events_executed += fired + worker_fired_;
-      worker_fired_ = 0;
-    }
+    await(pending_, [](unsigned left) { return left == 0; });
+    for (unsigned id = 1; id < n; ++id) fired += fired_by_worker_[id];
+    stats_.events_executed += fired;
     in_epoch_ = false;
   }
 
@@ -277,70 +278,122 @@ class IslandCoordinator {
     spawned_threads_ = want;
     if (want <= 1) return;
     stop_ = false;
+    spin_ = want <= available_cpus();
+    fired_by_worker_.assign(want, 0);
+    // A worker starts from the generation current at its spawn, passed in
+    // rather than read on the new thread: a read there could already see
+    // the first epoch's bump and then wait for the one after it.
+    const std::uint32_t gen = epoch_.load(std::memory_order_relaxed);
     for (unsigned id = 1; id < want; ++id) {
-      workers_.emplace_back([this, id, want] { worker_loop(id, want); });
+      workers_.emplace_back([this, id, want, gen] { worker_loop(id, want, gen); });
     }
   }
 
-  void worker_loop(unsigned id, unsigned n) {
-    std::uint64_t seen = 0;
+  void worker_loop(unsigned id, unsigned n, std::uint32_t seen) {
     for (;;) {
-      Micros w;
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_work_.wait(lk, [&] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-        w = window_;
-      }
+      seen = await(epoch_, [seen](std::uint32_t g) { return g != seen; });
+      if (stop_) return;
       std::uint64_t fired = 0;
       for (std::size_t i = id; i < islands_.size(); i += n) {
-        fired += islands_[i]->run_events_before(w);
+        fired += islands_[i]->run_events_before(window_);
       }
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        worker_fired_ += fired;
-        if (--workers_pending_ == 0) cv_done_.notify_one();
-      }
+      fired_by_worker_[id] = fired;
+      if (pending_.fetch_sub(1, std::memory_order_release) == 1) pending_.notify_one();
     }
   }
 
   void stop_workers() {
     if (workers_.empty()) return;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-    }
-    cv_work_.notify_all();
+    stop_ = true;
+    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
     for (std::thread& th : workers_) th.join();
     workers_.clear();
   }
+
+  /// Wait until `done(word)` holds and return the value that satisfied it,
+  /// read with acquire order.  Pause-spins, then yields, then parks on the
+  /// word; the epoch work is a few microseconds, so most waits end before
+  /// the park.  Spinning is skipped when the pool outnumbers the CPUs this
+  /// process may run on: a spinning waiter would then hold the CPU a peer
+  /// needs to finish its islands.
+  template <typename T, typename Done>
+  T await(const std::atomic<T>& word, Done done) const {
+    T v = word.load(std::memory_order_acquire);
+    if (spin_) {
+      for (unsigned i = 0; i < kSpinPauses && !done(v); ++i) {
+        cpu_relax();
+        v = word.load(std::memory_order_acquire);
+      }
+      for (unsigned i = 0; i < kSpinYields && !done(v); ++i) {
+        std::this_thread::yield();
+        v = word.load(std::memory_order_acquire);
+      }
+    }
+    while (!done(v)) {
+      word.wait(v, std::memory_order_acquire);
+      v = word.load(std::memory_order_acquire);
+    }
+    return v;
+  }
+
+  static void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+
+  /// CPUs this process may run on: its affinity mask where the platform
+  /// has one (taskset, cgroup cpusets), else the hardware thread count.
+  static unsigned available_cpus() {
+#if defined(__linux__)
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) == 0) {
+      return static_cast<unsigned>(std::max(1, CPU_COUNT(&set)));
+    }
+#endif
+    return std::max(1u, std::thread::hardware_concurrency());
+  }
+
+  // Spin budget per wait, before parking: 512 pauses (~8 µs at ~15 ns a
+  // pause on a recent x86), then 8 yields.  A longer spin covers more of
+  // the per-epoch waits on an idle host, but beside a CPU-bound process it
+  // costs more than it saves: spinning threads then lose the CPU to it for
+  // whole scheduler slices, which parked threads win back on wake-up.  At
+  // 4 workers on 8x3 KV, 2048 pauses and 64 yields doubled start() beside
+  // one busy loop (74 ms against the mutex barrier's 34 ms); 512 and 8
+  // match the mutex barrier there and halve it on an idle host.
+  static constexpr unsigned kSpinPauses = 512;
+  static constexpr unsigned kSpinYields = 8;
 
   Micros floor_;
   Micros now_ = 0;
   std::vector<Simulator*> islands_;
   std::vector<std::vector<Entry>> mail_;     // mail_[src * K + dst]
-  std::vector<std::uint64_t> post_seq_;      // per-src post counter
   Stats stats_;
   bool running_started_ = false;
   bool in_epoch_ = false;
 
   unsigned requested_threads_ = 1;
   unsigned spawned_threads_ = 1;
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  Micros window_ = 0;
+  bool spin_ = false;
 
   // step() epoch cursor: the open window (0 = none) and the island the next
   // single-step resumes at.  Serial-only state; see step().
   Micros step_window_ = 0;
   std::size_t step_island_ = 0;
-  std::uint64_t generation_ = 0;
-  unsigned workers_pending_ = 0;
-  std::uint64_t worker_fired_ = 0;
+
+  // Barrier.  The coordinator writes window_ and stop_ before bumping
+  // epoch_ (release); worker `id` writes fired_by_worker_[id] before its
+  // pending_ decrement (release).  The two atomics sit on their own cache
+  // lines: workers spin on one while they decrement the other.
+  Micros window_ = 0;
   bool stop_ = false;
+  std::vector<std::uint64_t> fired_by_worker_;
+  alignas(64) std::atomic<std::uint32_t> epoch_{0};
+  alignas(64) std::atomic<unsigned> pending_{0};
+  std::vector<std::thread> workers_;  // after everything its threads use
 };
 
 }  // namespace cts::sim

@@ -84,25 +84,26 @@ TEST(IslandCoordinator, MailboxDrainsInCanonicalSourceOrder) {
   }
 }
 
-// A chatty 4-island workload: every island runs a periodic local chain and
-// every third tick posts a message to the next island, which logs it and
-// schedules a local follow-up.  Returns the merged (time, island, label)
-// log, which must be identical for every worker count.
-std::vector<std::string> chatty_run(unsigned threads) {
-  constexpr int kIslands = 4;
+// A chatty workload on `islands` islands: every island runs a periodic
+// local chain and every third tick posts a message to the next island,
+// which logs it and schedules a local follow-up.  `drive(coord)` runs the
+// coordinator (and picks its worker counts).  Returns the merged (island,
+// time, label) log, which must be identical for every worker count.
+template <typename Drive>
+std::vector<std::string> chatty_log(int islands, Drive drive) {
   constexpr Micros kFloor = 700;
   std::vector<Simulator> sims;
-  sims.reserve(kIslands);
-  for (int i = 0; i < kIslands; ++i) sims.emplace_back(static_cast<std::uint64_t>(i + 1));
+  sims.reserve(static_cast<std::size_t>(islands));
+  for (int i = 0; i < islands; ++i) sims.emplace_back(static_cast<std::uint64_t>(i + 1));
   IslandCoordinator coord(kFloor);
   std::vector<IslandId> ids;
   for (auto& s : sims) ids.push_back(coord.add_island(s));
-  coord.set_threads(threads);
 
   // Per-island logs; island i's log is written only by island i's events.
-  std::vector<std::vector<std::pair<Micros, int>>> logs(kIslands);
+  std::vector<std::vector<std::pair<Micros, int>>> logs(static_cast<std::size_t>(islands));
 
   struct Driver {
+    int islands;
     IslandCoordinator* coord;
     std::vector<Simulator>* sims;
     std::vector<IslandId>* ids;
@@ -112,7 +113,7 @@ std::vector<std::string> chatty_run(unsigned threads) {
       auto& sim = (*sims)[static_cast<std::size_t>(island)];
       (*logs)[static_cast<std::size_t>(island)].push_back({sim.now(), k});
       if (k % 3 == 0) {
-        const int dst = (island + 1) % kIslands;
+        const int dst = (island + 1) % islands;
         coord->post((*ids)[static_cast<std::size_t>(island)],
                     (*ids)[static_cast<std::size_t>(dst)], sim.now() + kFloor,
                     [this, dst, k] {
@@ -130,14 +131,14 @@ std::vector<std::string> chatty_run(unsigned threads) {
       }
     }
   };
-  Driver d{&coord, &sims, &ids, &logs};
-  for (int i = 0; i < kIslands; ++i) {
+  Driver d{islands, &coord, &sims, &ids, &logs};
+  for (int i = 0; i < islands; ++i) {
     sims[static_cast<std::size_t>(i)].at(10 + i, [&d, i] { d.tick(i, 1); });
   }
-  coord.run_until(60'000);
+  drive(coord);
 
   std::vector<std::string> merged;
-  for (int i = 0; i < kIslands; ++i) {
+  for (int i = 0; i < islands; ++i) {
     for (const auto& [at, label] : logs[static_cast<std::size_t>(i)]) {
       merged.push_back(std::to_string(i) + "@" + std::to_string(at) + ":" +
                        std::to_string(label));
@@ -146,11 +147,38 @@ std::vector<std::string> chatty_run(unsigned threads) {
   return merged;
 }
 
+std::vector<std::string> chatty_run(unsigned threads) {
+  return chatty_log(4, [threads](IslandCoordinator& coord) {
+    coord.set_threads(threads);
+    coord.run_until(60'000);
+  });
+}
+
 TEST(IslandCoordinator, SerialAndParallelSchedulesIdentical) {
   const auto serial = chatty_run(1);
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(chatty_run(2), serial);
   EXPECT_EQ(chatty_run(4), serial);
+}
+
+TEST(IslandCoordinator, WorkerPoolRespawnAndShortSlicesMatchSerial) {
+  // 500 run_until slices of 24 µs cover the whole workload.  The worker
+  // count changes between slices, so the pool is stopped and respawned
+  // over and over, and each new worker must take up the generation it was
+  // spawned under: one lost wake-up hangs the run.  Five islands, so 2, 3
+  // and 4 workers pin them unevenly.
+  const auto sliced = [](std::vector<unsigned> cycle) {
+    return chatty_log(5, [cycle](IslandCoordinator& coord) {
+      for (std::size_t k = 0; k < 500; ++k) {
+        coord.set_threads(cycle[k % cycle.size()]);
+        coord.run_until(static_cast<Micros>(24 * (k + 1)));
+      }
+      coord.run_until(60'000);
+    });
+  };
+  const auto serial = sliced({1});
+  EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(sliced({4, 2, 3, 1, 4}), serial);
 }
 
 TEST(IslandCoordinator, ThreadsFromEnv) {
@@ -219,7 +247,7 @@ ArchRun arch_run(std::uint64_t seed, unsigned threads, bool faults) {
 
 TEST(ArchipelagoDeterminism, SerialAndParallelByteIdentical) {
   // Four seeds; the last two add loss plus a crash/restart schedule.  Each
-  // seed's serial run is the reference; 2- and 4-worker runs must match it
+  // seed's serial run is the reference; 2-, 3- and 4-worker runs must match it
   // byte for byte, trace and metrics both, with the oracle on and aborting
   // (Testbed default) in every mode.
   struct Case {
@@ -230,7 +258,7 @@ TEST(ArchipelagoDeterminism, SerialAndParallelByteIdentical) {
     const ArchRun ref = arch_run(cs.seed, 1, cs.faults);
     ASSERT_GT(ref.deliveries, 0u) << "seed " << cs.seed;
     ASSERT_GT(ref.egress, 0u) << "seed " << cs.seed;
-    for (unsigned threads : {2u, 4u}) {
+    for (unsigned threads : {2u, 3u, 4u}) {
       const ArchRun par = arch_run(cs.seed, threads, cs.faults);
       EXPECT_EQ(par.trace, ref.trace) << "seed " << cs.seed << " threads " << threads;
       EXPECT_EQ(par.metrics, ref.metrics) << "seed " << cs.seed << " threads " << threads;
