@@ -29,7 +29,9 @@ using Bytes = std::vector<std::uint8_t>;
 /// its payload once and every receiver's in-flight packet shares it; a
 /// Totem multicast payload is an aliasing slice() of the sealed packet it
 /// arrived in.  Copying a SharedBytes bumps a refcount; the underlying
-/// buffer is freed when the last view drops.
+/// buffer is freed when the last view drops.  The owner is type-erased:
+/// a wrapped Bytes, or one block built in place by BytesWriter::fixed().
+/// The refcount is atomic: link frames cross island threads.
 ///
 /// Ownership rules (see doc/PERFORMANCE.md):
 ///   * the wrapped buffer is immutable for the lifetime of every view —
@@ -44,11 +46,22 @@ class SharedBytes {
   SharedBytes() = default;
 
   /// Wrap a buffer, taking ownership.  Implicit, so APIs migrated from
-  /// `const Bytes&` to `SharedBytes` keep accepting Bytes rvalues.
-  SharedBytes(Bytes b)  // NOLINT(google-explicit-constructor)
-      : owner_(std::make_shared<const Bytes>(std::move(b))),
-        data_(owner_->data()),
-        size_(owner_->size()) {}
+  /// `const Bytes&` to `SharedBytes` keep accepting Bytes rvalues.  Costs a
+  /// control block on top of the vector's own buffer.
+  SharedBytes(Bytes b) {  // NOLINT(google-explicit-constructor)
+    auto owner = std::make_shared<const Bytes>(std::move(b));
+    data_ = owner->data();
+    size_ = owner->size();
+    owner_ = std::move(owner);
+  }
+
+  /// Adopt the first `size` bytes of a refcounted block — the single
+  /// allocation a fixed-size BytesWriter writes in place, holding both the
+  /// refcount and the bytes.
+  SharedBytes(std::shared_ptr<const std::uint8_t[]> block, std::size_t size)
+      : owner_(std::move(block)),
+        data_(static_cast<const std::uint8_t*>(owner_.get())),
+        size_(size) {}
 
   /// Materialize an owning SharedBytes from any contiguous byte range.
   static SharedBytes copy_of(std::span<const std::uint8_t> s) {
@@ -83,7 +96,7 @@ class SharedBytes {
   }
 
  private:
-  std::shared_ptr<const Bytes> owner_;
+  std::shared_ptr<const void> owner_;
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
 };
@@ -135,19 +148,28 @@ inline std::uint64_t load_u64le(const std::uint8_t* p) {
   return v;
 }
 
-/// FNV-1a over a byte range, starting at offset `from`.  The 32-bit flavor
-/// seals packet envelopes (Totem's magic+checksum header); the 64-bit
-/// flavor links checkpoint-chain headers (see src/replication).  `seed`
-/// lets the 64-bit flavor chain over multiple inputs.
-inline std::uint32_t fnv1a32(std::span<const std::uint8_t> data, std::size_t from = 0) {
+/// FNV-style hash over 32-bit words: the Totem packet-envelope checksum.
+/// The state is 32 bits, seeded with the FNV offset basis.  Each
+/// little-endian 32-bit word `w` of `data` steps it as
+/// `h = rotl((h ^ w) * 16777619, 15)` (the FNV-1a prime, then a rotation
+/// that feeds high-order bits back to the low ones), and the 0-3 trailing
+/// bytes take the same step one byte at a time.  XOR with the input, the
+/// odd multiply and the rotation are each a bijection of the state, so two
+/// inputs of equal length that differ within one word — in particular by
+/// any single flipped bit — always hash differently.
+inline std::uint32_t fnv32_words(std::span<const std::uint8_t> data) {
+  const auto step = [](std::uint32_t h, std::uint32_t w) {
+    return std::rotl((h ^ w) * 16777619u, 15);
+  };
   std::uint32_t h = 2166136261u;
-  for (std::size_t i = from; i < data.size(); ++i) {
-    h ^= data[i];
-    h *= 16777619u;
-  }
+  std::size_t i = 0;
+  for (; data.size() - i >= 4; i += 4) h = step(h, load_u32le(data.data() + i));
+  for (; i < data.size(); ++i) h = step(h, data[i]);
   return h;
 }
 
+/// FNV-1a over a byte range: links checkpoint-chain headers (see
+/// src/replication).  `seed` chains the hash over multiple inputs.
 inline std::uint64_t fnv1a64(std::span<const std::uint8_t> data,
                              std::uint64_t seed = 14695981039346656037ull) {
   std::uint64_t h = seed;
@@ -158,12 +180,46 @@ inline std::uint64_t fnv1a64(std::span<const std::uint8_t> data,
   return h;
 }
 
-/// Appends fixed-width little-endian values to a growing byte buffer.
+/// Appends fixed-width little-endian values through a write cursor.
+///
+/// Two backing stores, one writer:
+///   * default-constructed, it grows a Bytes geometrically; data() and
+///     take() hand out that vector without a copy;
+///   * `BytesWriter::fixed(n)` writes straight into ONE refcounted block of
+///     exactly `n` bytes (refcount and bytes share the allocation), which
+///     take_shared() hands over as a SharedBytes — for encoders that know
+///     their exact size up front.  A write past `n` throws
+///     std::length_error, and take_shared() refuses a block that is not
+///     completely written, so no unwritten byte ever reaches the wire.
+///
+/// A field write is a bounds compare and a store at the cursor; only the
+/// growing store's rare reallocation is out of line.
 class BytesWriter {
  public:
   BytesWriter() = default;
 
-  void u8(std::uint8_t v) { buf_.push_back(v); }
+  /// A writer over one uninitialized refcounted block of exactly `size`
+  /// bytes.  Every byte must be written before take_shared().
+  static BytesWriter fixed(std::size_t size) {
+    BytesWriter w;
+    w.block_ = std::make_shared_for_overwrite<std::uint8_t[]>(size);
+    w.begin_ = w.cur_ = w.block_.get();
+    w.end_ = w.begin_ + size;
+    return w;
+  }
+
+  /// Moving hands the cursor over; the source is left empty.
+  BytesWriter(BytesWriter&& o) noexcept
+      : buf_(std::move(o.buf_)),
+        block_(std::move(o.block_)),
+        begin_(std::exchange(o.begin_, nullptr)),
+        cur_(std::exchange(o.cur_, nullptr)),
+        end_(std::exchange(o.end_, nullptr)) {}
+
+  BytesWriter(const BytesWriter&) = delete;
+  BytesWriter& operator=(const BytesWriter&) = delete;
+
+  void u8(std::uint8_t v) { *extend(1) = v; }
   void u16(std::uint16_t v) { put(v); }
   void u32(std::uint32_t v) { put(v); }
   void u64(std::uint64_t v) { put(v); }
@@ -184,17 +240,20 @@ class BytesWriter {
     std::copy(data.begin(), data.end(), extend(data.size()));
   }
 
-  /// Grow the buffer's capacity by `additional` bytes beyond what is
-  /// already written.  Scatter-gather encoders sum their source sizes up
-  /// front so the whole gather lands in a single allocation.
-  void reserve(std::size_t additional) { buf_.reserve(buf_.size() + additional); }
+  /// Make room for `additional` bytes beyond what is already written, in
+  /// one allocation.  Scatter-gather encoders sum their source sizes up
+  /// front so the whole gather lands in a single allocation.  (A fixed
+  /// block cannot grow; a write past its end throws.)
+  void reserve(std::size_t additional) {
+    if (!block_ && room() < additional) grow(additional, /*exact=*/true);
+  }
 
   /// Patch a u32 at an absolute offset inside the already-written buffer —
   /// for envelope fields whose value is only known once the body is in
   /// place (a checksum over the bytes that follow it).
   void patch_u32(std::size_t offset, std::uint32_t v) {
-    assert(offset + sizeof(v) <= buf_.size());
-    store_u32le(buf_.data() + offset, v);
+    assert(offset + sizeof(v) <= size());
+    store_u32le(begin_ + offset, v);
   }
 
   /// Length-prefixed (u32) UTF-8 string.
@@ -203,24 +262,82 @@ class BytesWriter {
     std::copy(s.begin(), s.end(), extend(s.size()));
   }
 
-  [[nodiscard]] const Bytes& data() const& { return buf_; }
-  [[nodiscard]] Bytes take() && { return std::move(buf_); }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  /// The bytes written so far, in either store.
+  [[nodiscard]] std::span<const std::uint8_t> written() const { return {begin_, size()}; }
+
+  /// The growing store's buffer, trimmed to what was written.  Not
+  /// available on a fixed block (use written()).
+  [[nodiscard]] const Bytes& data() & {
+    trim();
+    return buf_;
+  }
+  [[nodiscard]] Bytes take() && {
+    trim();
+    begin_ = cur_ = end_ = nullptr;
+    return std::move(buf_);
+  }
+
+  /// Hand a fixed block over as a SharedBytes, as is.  It must be
+  /// completely written.
+  [[nodiscard]] SharedBytes take_shared() && {
+    if (!block_ || cur_ != end_) {
+      throw std::logic_error("BytesWriter: take_shared needs a completely written fixed block");
+    }
+    const std::size_t n = size();
+    begin_ = cur_ = end_ = nullptr;
+    return SharedBytes(std::move(block_), n);
+  }
+
+  [[nodiscard]] std::size_t size() const { return static_cast<std::size_t>(cur_ - begin_); }
 
  private:
+  [[nodiscard]] std::size_t room() const { return static_cast<std::size_t>(end_ - cur_); }
+
   template <typename T>
   void put(T v) {
     store_le(extend(sizeof(T)), v);
   }
 
-  /// Append `n` bytes for the caller to fill; returns where they start.
+  /// Advance the cursor by `n` bytes for the caller to fill; returns where
+  /// they start.
   std::uint8_t* extend(std::size_t n) {
-    const std::size_t at = buf_.size();
-    buf_.resize(at + n);
-    return buf_.data() + at;
+    if (room() < n) [[unlikely]] grow(n);
+    std::uint8_t* at = cur_;
+    cur_ += n;
+    return at;
   }
 
+  /// The slow path, out of line: reallocate the growing store to hold `n`
+  /// more bytes (doubling, from at least kMinCapacity, or exactly for
+  /// reserve()), then expose its whole capacity to the cursor.
+  [[gnu::noinline]] void grow(std::size_t n, bool exact = false) {
+    if (block_) throw std::length_error("BytesWriter: write past the end of a fixed block");
+    const std::size_t used = size();
+    buf_.resize(used);
+    buf_.reserve(exact ? used + n : std::max({used + n, 2 * used, kMinCapacity}));
+    buf_.resize(buf_.capacity());
+    begin_ = buf_.data();
+    cur_ = begin_ + used;
+    end_ = begin_ + buf_.size();
+  }
+
+  /// Shrink the growing store to the written bytes (no reallocation); the
+  /// next write re-exposes the spare capacity.
+  void trim() {
+    if (block_) throw std::logic_error("BytesWriter: a fixed block has no Bytes to hand out");
+    buf_.resize(size());
+    end_ = cur_;
+  }
+
+  /// First allocation of the growing store: a typical message (a GCS
+  /// header and a small payload) fits without a reallocation.
+  static constexpr std::size_t kMinCapacity = 64;
+
   Bytes buf_;
+  std::shared_ptr<std::uint8_t[]> block_;
+  std::uint8_t* begin_ = nullptr;
+  std::uint8_t* cur_ = nullptr;
+  std::uint8_t* end_ = nullptr;
 };
 
 /// Reads fixed-width little-endian values from a byte buffer; throws
@@ -274,10 +391,14 @@ class BytesReader {
     // Compare against the remaining count rather than `pos_ + n`: a hostile
     // length prefix near SIZE_MAX must not wrap the addition and sneak past
     // the bound (pos_ <= size() is an invariant, so the subtraction is safe).
-    if (n > data_.size() - pos_) {
-      throw CodecError("truncated message: need " + std::to_string(n) + " bytes, have " +
-                       std::to_string(data_.size() - pos_));
-    }
+    if (n > data_.size() - pos_) [[unlikely]] truncated(n);
+  }
+
+  /// The cold half of require(), kept out of line so every field read
+  /// inlines to a compare and a load.
+  [[noreturn, gnu::noinline]] void truncated(std::size_t n) const {
+    throw CodecError("truncated message: need " + std::to_string(n) + " bytes, have " +
+                     std::to_string(data_.size() - pos_));
   }
 
   template <typename T>

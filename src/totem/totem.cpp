@@ -13,24 +13,23 @@ constexpr std::uint32_t kPacketMagic = 0x544f544d;  // "TOTM"
 constexpr std::size_t kEnvelopeSize = 8;            // [magic u32][checksum u32]
 constexpr std::size_t kEnvelopeChecksumOffset = 4;
 
-// Scatter-gather sealing: the envelope and the body share one buffer.  An
-// encoder reserves the final packet size, writes the [magic][checksum=0]
+// In-place sealing: every encoder knows its packet's exact size, so the
+// envelope and body are written straight into ONE refcounted block (the
+// packet's only allocation).  An encoder writes the [magic][checksum=0]
 // envelope, appends its body fields directly behind it, and finish_sealed
-// patches the checksum in place — no separately-allocated body buffer and
-// no envelope-prepend copy.
+// patches the checksum in place and hands the block over as is.
 BytesWriter begin_sealed(std::size_t body_size) {
-  BytesWriter w;
-  w.reserve(kEnvelopeSize + body_size);
+  BytesWriter w = BytesWriter::fixed(kEnvelopeSize + body_size);
   w.u32(kPacketMagic);
   w.u32(0);  // checksum placeholder, patched once the body is in place
   return w;
 }
 
-Bytes finish_sealed(BytesWriter&& w) {
-  w.patch_u32(kEnvelopeChecksumOffset, fnv1a32(w.data(), kEnvelopeSize));
-  return std::move(w).take();
+SharedBytes finish_sealed(BytesWriter&& w) {
+  w.patch_u32(kEnvelopeChecksumOffset, fnv32_words(w.written().subspan(kEnvelopeSize)));
+  return std::move(w).take_shared();
 }
-}
+}  // namespace
 
 TotemNode::TotemNode(sim::Simulator& sim, net::Network& net, NodeId id, TotemConfig cfg)
     : sim_(sim), net_(net), id_(id), cfg_(std::move(cfg)), scope_(sim) {
@@ -53,7 +52,7 @@ bool TotemNode::unseal(const SharedBytes& packet, BytesReader& out_reader) {
   if (packet.size() < kEnvelopeSize) return false;
   if (load_u32le(packet.data()) != kPacketMagic) return false;
   if (load_u32le(packet.data() + kEnvelopeChecksumOffset) !=
-      fnv1a32(packet.span(), kEnvelopeSize)) {
+      fnv32_words(packet.span().subspan(kEnvelopeSize))) {
     return false;
   }
   out_reader = BytesReader(
@@ -61,7 +60,7 @@ bool TotemNode::unseal(const SharedBytes& packet, BytesReader& out_reader) {
   return true;
 }
 
-Bytes TotemNode::encode_token(const Token& t) {
+SharedBytes TotemNode::encode_token(const Token& t) {
   BytesWriter w = begin_sealed(45 + t.rtr.size() * 8);
   w.u8(static_cast<std::uint8_t>(MsgType::kToken));
   w.u64(t.ring_id);
@@ -75,7 +74,7 @@ Bytes TotemNode::encode_token(const Token& t) {
   return finish_sealed(std::move(w));
 }
 
-Bytes TotemNode::encode_mcast(const Mcast& m) {
+SharedBytes TotemNode::encode_mcast(const Mcast& m) {
   BytesWriter w = begin_sealed(27 + m.payload.size());
   w.u8(static_cast<std::uint8_t>(MsgType::kMcast));
   w.u64(m.ring_id);
@@ -87,7 +86,7 @@ Bytes TotemNode::encode_mcast(const Mcast& m) {
   return finish_sealed(std::move(w));
 }
 
-Bytes TotemNode::encode_batch(std::span<const Mcast> msgs, RingId ring_id, bool recovery) {
+SharedBytes TotemNode::encode_batch(std::span<const Mcast> msgs, RingId ring_id, bool recovery) {
   // One envelope seals the whole visit's worth of messages; payload bytes
   // are gathered straight from each queued buffer into the frame.
   std::size_t body = 14;  // type u8 + ring u64 + recovery u8 + count u32
@@ -106,8 +105,8 @@ Bytes TotemNode::encode_batch(std::span<const Mcast> msgs, RingId ring_id, bool 
   return finish_sealed(std::move(w));
 }
 
-Bytes TotemNode::encode_join(const Join& j) {
-  BytesWriter w = begin_sealed(29 + j.perceived.size() * 4);
+SharedBytes TotemNode::encode_join(const Join& j) {
+  BytesWriter w = begin_sealed(33 + j.perceived.size() * 4);
   w.u8(static_cast<std::uint8_t>(MsgType::kJoin));
   w.u32(j.sender.value);
   w.u32(static_cast<std::uint32_t>(j.perceived.size()));
@@ -118,7 +117,7 @@ Bytes TotemNode::encode_join(const Join& j) {
   return finish_sealed(std::move(w));
 }
 
-Bytes TotemNode::encode_commit(const Commit& c) {
+SharedBytes TotemNode::encode_commit(const Commit& c) {
   BytesWriter w = begin_sealed(13 + c.members.size() * 28);
   w.u8(static_cast<std::uint8_t>(MsgType::kCommit));
   w.u64(c.new_ring_id);
@@ -150,7 +149,7 @@ void TotemNode::crash() {
   joins_.clear();
   perceived_.clear();
   send_queue_.clear();
-  last_sent_token_.reset();
+  last_sent_token_ = {};
   view_ = View{};
   my_aru_ = 0;
   delivered_up_to_ = 0;
@@ -481,16 +480,24 @@ void TotemNode::handle_token(Token tok) {
     if (orc_) orc_->on_totem_discard(id_, discard);
   }
 
-  // 5. Forward the token after the hold time.
-  scope_.after(cfg_.token_hold_us, [this, e = epoch_, tok = std::move(tok)]() mutable {
-    if (e != epoch_ || state_ != State::kOperational || tok.ring_id != view_.ring_id) return;
-    send_token_to_successor(std::move(tok));
+  // 5. Forward the token after the hold time.  The node holds the token
+  // itself; the timer names it by (ring, token_seq), which keeps the
+  // closure inline.  Holds never overlap on one ring (a second token would
+  // need a higher token_seq), and a hold left over from an older ring finds
+  // a different ring id and does nothing, as it always has.
+  held_token_ = std::move(tok);
+  scope_.after(cfg_.token_hold_us, [this, e = epoch_, ring = held_token_.ring_id,
+                                    seq = held_token_.token_seq] {
+    if (e != epoch_ || state_ != State::kOperational || ring != view_.ring_id ||
+        held_token_.ring_id != ring || held_token_.token_seq != seq) {
+      return;
+    }
+    send_token_to_successor(std::move(held_token_));
   });
 }
 
 void TotemNode::send_token_to_successor(Token tok) {
   tok.token_seq += 1;
-  last_sent_token_ = tok;
   ++stats_.tokens_sent;
 
   const NodeId next = successor();
@@ -503,7 +510,10 @@ void TotemNode::send_token_to_successor(Token tok) {
     });
     return;
   }
-  net_.send(id_, next, encode_token(tok));
+  // Keep the sealed packet itself: a retransmission re-sends this buffer,
+  // byte for byte what re-encoding the token would produce.
+  last_sent_token_ = encode_token(tok);
+  net_.send(id_, next, last_sent_token_);
   token_retrans_attempts_ = 0;
   arm_token_retrans();
 }
@@ -517,7 +527,7 @@ void TotemNode::arm_token_retrans() {
   }
   token_retrans_armed_ = true;
   token_retrans_timer_ = scope_.after(cfg_.token_retrans_timeout_us, [this, e = epoch_] {
-    if (e != epoch_ || state_ != State::kOperational || !last_sent_token_) return;
+    if (e != epoch_ || state_ != State::kOperational || last_sent_token_.empty()) return;
     token_retrans_armed_ = false;
     // Give up after a few attempts: the token-loss timeout will rebuild the
     // ring if the successor really is gone.
@@ -528,7 +538,7 @@ void TotemNode::arm_token_retrans() {
     if (rec_) {
       rec_->event(obs::EventKind::kTokenRetransmit, id_, ReplicaId{}, token_retrans_attempts_);
     }
-    net_.send(id_, successor(), encode_token(*last_sent_token_));
+    net_.send(id_, successor(), last_sent_token_);
     arm_token_retrans();
   });
 }
@@ -851,7 +861,7 @@ void TotemNode::install(const View& v) {
   token_aru_prev_ = 0;
   token_aru_last_ = 0;
   last_sent_on_token_ = 0;
-  last_sent_token_.reset();
+  last_sent_token_ = {};
   state_ = State::kOperational;
   recovery_attempts_ = 0;
   ++stats_.membership_changes;

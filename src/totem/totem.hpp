@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -197,6 +196,9 @@ class TotemNode {
   [[nodiscard]] TotemSeq delivered_up_to() const { return delivered_up_to_; }
 
  private:
+  // Unit tests drive the real encoders and unseal() through this peer.
+  friend struct TotemWireAccess;
+
   // --- Wire formats -------------------------------------------------------
   enum class MsgType : std::uint8_t {
     kToken = 1,
@@ -206,11 +208,12 @@ class TotemNode {
     kBatch = 5,  // all messages one node originated during one token visit
   };
 
-  /// Every Totem packet is wrapped in a magic + FNV-1a checksum envelope so
-  /// corrupted or foreign datagrams are dropped instead of being
-  /// misinterpreted as protocol messages.  Encoders build the envelope and
-  /// body scatter-gather in one buffer (begin/finish helpers in totem.cpp)
-  /// rather than sealing a separately-allocated body.
+  /// Every Totem packet is wrapped in a magic + checksum envelope
+  /// (fnv32_words, common/bytes.hpp) so corrupted or foreign datagrams are
+  /// dropped instead of being misinterpreted as protocol messages.  Each
+  /// encoder writes envelope and body in place into one refcounted block of
+  /// the packet's exact size (begin/finish helpers in totem.cpp) and seals
+  /// it once.
   static bool unseal(const SharedBytes& packet, BytesReader& out_reader);
 
   struct Token {
@@ -254,14 +257,14 @@ class TotemNode {
     std::vector<CommitMember> members;
   };
 
-  static Bytes encode_token(const Token& t);
-  static Bytes encode_mcast(const Mcast& m);
-  static Bytes encode_join(const Join& j);
-  static Bytes encode_commit(const Commit& c);
+  static SharedBytes encode_token(const Token& t);
+  static SharedBytes encode_mcast(const Mcast& m);
+  static SharedBytes encode_join(const Join& j);
+  static SharedBytes encode_commit(const Commit& c);
   /// One frame carrying `msgs` in sequence order.  The frame-level
   /// `recovery` flag applies to every entry (a node only ever batches
   /// all-new or all-recovery messages).
-  static Bytes encode_batch(std::span<const Mcast> msgs, RingId ring_id, bool recovery);
+  static SharedBytes encode_batch(std::span<const Mcast> msgs, RingId ring_id, bool recovery);
 
   // --- Packet handling -----------------------------------------------------
   void on_packet(NodeId src, const SharedBytes& data);
@@ -336,8 +339,11 @@ class TotemNode {
 
   void arm_token_retrans();
 
-  // Token retransmission: last token I forwarded.
-  std::optional<Token> last_sent_token_;
+  // The token this node holds for token_hold_us before forwarding it.
+  Token held_token_;
+  // Token retransmission: the sealed packet of the last token I forwarded
+  // (empty before the first forward on a ring).
+  SharedBytes last_sent_token_;
   int token_retrans_attempts_ = 0;
   sim::Simulator::EventId token_retrans_timer_{};
   sim::Simulator::EventId token_loss_timer_{};

@@ -11,7 +11,10 @@
 //     allocates nothing at steady state (the event arena is warm);
 //   * the trace log stores a record in at most 16 bytes (a TraceEvent is
 //     48), and the island merge holds one cursor per island, not one
-//     pointer per event.
+//     pointer per event;
+//   * an idle Totem token hop allocates exactly one block, its sealed
+//     packet, and a token retransmission allocates nothing: it re-sends
+//     that same block.
 //
 // Every measurement runs after a warm-up round so one-time arena growth
 // (event-heap slots, NIC queues) is excluded; what remains is the per-send
@@ -33,6 +36,7 @@
 #include "net/network.hpp"
 #include "obs/recorder.hpp"
 #include "sim/simulator.hpp"
+#include "totem/totem.hpp"
 
 namespace {
 
@@ -279,3 +283,78 @@ TEST(AllocTest, IslandMergeExportKeepsSortedOrderWithOneCursorPerIsland) {
 
 }  // namespace
 }  // namespace cts::obs
+
+namespace cts::totem {
+namespace {
+
+/// Three Totem nodes on one LAN, booted and left idle until the ring has
+/// formed and the token circulates at steady state.
+struct IdleRing {
+  sim::Simulator sim{1};
+  net::Network net{sim, net::NetworkConfig{}};
+  std::vector<std::unique_ptr<TotemNode>> nodes;
+
+  IdleRing() {
+    TotemConfig cfg;
+    cfg.universe = {NodeId{0}, NodeId{1}, NodeId{2}};
+    for (const NodeId n : cfg.universe) nodes.push_back(std::make_unique<TotemNode>(sim, net, n, cfg));
+    for (auto& n : nodes) n->start();
+    sim.run_for(200'000);  // form the ring, then warm every arena and pool
+  }
+
+  [[nodiscard]] bool operational() const {
+    return std::all_of(nodes.begin(), nodes.end(),
+                       [](const auto& n) { return n->state() == TotemNode::State::kOperational; });
+  }
+
+  [[nodiscard]] std::uint64_t tokens_sent() const {
+    std::uint64_t sum = 0;
+    for (const auto& n : nodes) sum += n->stats().tokens_sent;
+    return sum;
+  }
+};
+
+TEST(AllocTest, IdleTokenHopAllocatesOnlyItsSealedPacket) {
+  // A hop is receive (unseal + decode), hold (a pooled timer closure) and
+  // forward (encode + send).  The packet is built in place in one
+  // refcounted block, so that block is the hop's only allocation (a
+  // vector-backed packet costs two: the buffer and its control block).
+  IdleRing ring;
+  ASSERT_TRUE(ring.operational());
+  const std::uint64_t sent_before = ring.tokens_sent();
+  const AllocSnapshot before = snap();
+  ring.sim.run_for(20'000);
+  const AllocSnapshot after = snap();
+  const std::uint64_t hops = ring.tokens_sent() - sent_before;
+  ASSERT_TRUE(ring.operational());
+  ASSERT_GT(hops, 100u);
+  EXPECT_EQ(after.calls - before.calls, hops)
+      << hops << " token hops allocated " << (after.bytes - before.bytes) << " bytes";
+}
+
+TEST(AllocTest, TokenRetransmissionResendsTheSealedPacketWithoutAllocating) {
+  IdleRing ring;
+  ASSERT_TRUE(ring.operational());
+  // Deafen node 1: its NIC now hands packets to this sniffer instead of its
+  // Totem daemon, so node 0's next token to it goes unanswered and node 0
+  // retransmits it after token_retrans_timeout_us.
+  std::vector<SharedBytes> from0;
+  from0.reserve(16);
+  ring.net.attach(NodeId{1}, [&](NodeId src, const SharedBytes& p) {
+    if (src == NodeId{0}) from0.push_back(p);
+  });
+  while (from0.empty()) ring.sim.run_for(10);
+  const std::uint64_t retrans_before = ring.nodes[0]->stats().token_retransmissions;
+  const AllocSnapshot before = snap();
+  ring.sim.run_for(TotemConfig{}.token_retrans_timeout_us + 100);
+  const AllocSnapshot after = snap();
+  ASSERT_EQ(ring.nodes[0]->stats().token_retransmissions, retrans_before + 1);
+  ASSERT_EQ(from0.size(), 2u);
+  EXPECT_EQ(from0[1].data(), from0[0].data()) << "the retransmission re-encoded the token";
+  EXPECT_EQ(from0[1], from0[0]);
+  EXPECT_EQ(after.calls - before.calls, 0u)
+      << "token retransmission allocated " << (after.bytes - before.bytes) << " bytes";
+}
+
+}  // namespace
+}  // namespace cts::totem

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "common/bytes.hpp"
 #include "common/histogram.hpp"
@@ -190,6 +191,42 @@ TEST(BytesTest, RemainingTracksConsumption) {
   EXPECT_EQ(r.remaining(), 4u);
   r.u32();
   EXPECT_TRUE(r.done());
+}
+
+TEST(BytesTest, WriterDataStaysExactAcrossFurtherWrites) {
+  // data() trims the growing store to what was written; later writes
+  // re-expose the spare capacity and the next data() sees all of it.
+  BytesWriter w;
+  w.u32(0x04030201u);
+  EXPECT_EQ(w.data(), (Bytes{1, 2, 3, 4}));
+  w.u8(5);
+  w.raw(Bytes(100, 6));  // past the first allocation
+  ASSERT_EQ(w.data().size(), 105u);
+  EXPECT_EQ(w.data()[4], 5);
+  EXPECT_EQ(w.data().back(), 6);
+  EXPECT_EQ(std::move(w).take().size(), 105u);
+}
+
+TEST(BytesTest, FixedWriterFillsOneBlockInPlace) {
+  BytesWriter grown;
+  grown.u8(1);
+  grown.u64(0x0102030405060708ULL);
+  grown.str("xyz");
+  BytesWriter fixed = BytesWriter::fixed(grown.size());
+  fixed.u8(1);
+  fixed.u64(0x0102030405060708ULL);
+  fixed.str("xyz");
+  const SharedBytes sealed = std::move(fixed).take_shared();
+  EXPECT_EQ(sealed.to_bytes(), grown.data());
+}
+
+TEST(BytesTest, FixedWriterRejectsOverrunAndShortFill) {
+  BytesWriter over = BytesWriter::fixed(3);
+  over.u16(7);
+  EXPECT_THROW(over.u16(8), std::length_error);  // one byte left, two asked
+  BytesWriter shortfall = BytesWriter::fixed(8);
+  shortfall.u32(1);  // four bytes never written must not reach the wire
+  EXPECT_THROW((void)std::move(shortfall).take_shared(), std::logic_error);
 }
 
 // --- RNG --------------------------------------------------------------------------

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -478,23 +480,14 @@ TEST(TotemCancelTest, CancelDuringATokenVisitSplitsAtTheBatchBoundary) {
 // envelope around a truncated body must fail through BytesReader's explicit
 // CodecError path — never an out-of-bounds read.
 
-// FNV-1a over data[from..), mirroring the sealed-envelope checksum so the
-// tests can forge packets with a *valid* envelope but a malformed body.
-std::uint32_t test_fnv1a(const Bytes& data, std::size_t from) {
-  std::uint32_t h = 2166136261u;
-  for (std::size_t i = from; i < data.size(); ++i) {
-    h ^= data[i];
-    h *= 16777619u;
-  }
-  return h;
-}
-
+// Seal `body` in a Totem envelope with the library checksum, so the tests
+// can forge packets with a *valid* envelope but a malformed body.
 Bytes forge_sealed(const Bytes& body) {
   constexpr std::uint32_t kMagic = 0x544f544d;  // "TOTM"
   Bytes packet(8 + body.size(), 0);
   std::copy(body.begin(), body.end(), packet.begin() + 8);
   store_u32le(packet.data(), kMagic);
-  store_u32le(packet.data() + 4, test_fnv1a(packet, 8));
+  store_u32le(packet.data() + 4, fnv32_words(body));
   return packet;
 }
 
@@ -692,6 +685,170 @@ TEST(TotemRobustnessTest, TrailingGarbageAfterAValidTokenIsRejected) {
   w.u8(0xee);        // trailing garbage
   f.inject(forge_sealed(std::move(w).take()));
   f.expect_ring_still_healthy();
+}
+
+}  // namespace
+
+/// TotemNode befriends this peer: it exposes the real wire encoders and
+/// unseal() to the tests below.
+struct TotemWireAccess {
+  using Token = TotemNode::Token;
+  using Mcast = TotemNode::Mcast;
+  using Join = TotemNode::Join;
+  using Commit = TotemNode::Commit;
+  using CommitMember = TotemNode::CommitMember;
+
+  static SharedBytes token(const Token& t) { return TotemNode::encode_token(t); }
+  static SharedBytes mcast(const Mcast& m) { return TotemNode::encode_mcast(m); }
+  static SharedBytes batch(std::span<const Mcast> msgs, RingId ring, bool recovery) {
+    return TotemNode::encode_batch(msgs, ring, recovery);
+  }
+  static SharedBytes join(const Join& j) { return TotemNode::encode_join(j); }
+  static SharedBytes commit(const Commit& c) { return TotemNode::encode_commit(c); }
+  static bool unseal(const SharedBytes& packet, BytesReader& body) {
+    return TotemNode::unseal(packet, body);
+  }
+};
+
+namespace {
+
+TEST(TotemRobustnessTest, EverySingleBitFlipIsRejected) {
+  // Each packet kind, built by the real encoder.  The envelope checksum
+  // steps a bijection per word, so flipping any one bit of any byte — the
+  // magic, the checksum itself, or the body — must fail unseal(), while the
+  // original unseals and decodes to exactly the fields it was built from.
+  using W = TotemWireAccess;
+  constexpr RingId kRing = 0x0304;
+
+  W::Token tok;
+  tok.ring_id = kRing;
+  tok.token_seq = 77;
+  tok.seq = 12;
+  tok.aru = 9;
+  tok.aru_setter = NodeId{2};
+  tok.fcc = 3;
+  tok.rtr = {10, 11};
+
+  W::Mcast one;
+  one.ring_id = kRing;
+  one.seq = 13;
+  one.sender = NodeId{1};
+  one.recovery = true;
+  one.delivery = DeliveryClass::kSafe;
+  one.payload = msg("single mcast");
+
+  std::vector<W::Mcast> three(3);
+  const char* payloads[] = {"first", "", "third, odd-length"};
+  for (std::size_t i = 0; i < three.size(); ++i) {
+    three[i].ring_id = kRing;
+    three[i].seq = 20 + i;
+    three[i].sender = NodeId{static_cast<std::uint32_t>(i)};
+    three[i].delivery = i == 1 ? DeliveryClass::kSafe : DeliveryClass::kAgreed;
+    three[i].payload = msg(payloads[i]);
+  }
+
+  W::Join join;
+  join.sender = NodeId{2};
+  join.perceived = {NodeId{0}, NodeId{1}, NodeId{2}};
+  join.old_ring_id = kRing;
+  join.my_aru = 9;
+  join.high_seq = 13;
+
+  W::Commit commit;
+  commit.new_ring_id = 0x0400;
+  for (std::uint32_t n = 0; n < 3; ++n) {
+    commit.members.push_back(W::CommitMember{NodeId{n}, kRing, 9 + n, 13});
+  }
+
+  const auto expect_token = [&](BytesReader& r) {
+    EXPECT_EQ(r.u8(), 1);
+    EXPECT_EQ(r.u64(), tok.ring_id);
+    EXPECT_EQ(r.u64(), tok.token_seq);
+    EXPECT_EQ(r.u64(), tok.seq);
+    EXPECT_EQ(r.u64(), tok.aru);
+    EXPECT_EQ(r.u32(), tok.aru_setter.value);
+    EXPECT_EQ(r.u32(), tok.fcc);
+    EXPECT_EQ(r.u32(), tok.rtr.size());
+    for (TotemSeq s : tok.rtr) EXPECT_EQ(r.u64(), s);
+  };
+  const auto expect_mcast = [&](BytesReader& r) {
+    EXPECT_EQ(r.u8(), 2);
+    EXPECT_EQ(r.u64(), one.ring_id);
+    EXPECT_EQ(r.u64(), one.seq);
+    EXPECT_EQ(r.u32(), one.sender.value);
+    EXPECT_EQ(r.boolean(), one.recovery);
+    EXPECT_EQ(r.u8(), static_cast<std::uint8_t>(one.delivery));
+    EXPECT_EQ(r.bytes(), one.payload.to_bytes());
+  };
+  const auto expect_batch = [&](BytesReader& r) {
+    EXPECT_EQ(r.u8(), 5);
+    EXPECT_EQ(r.u64(), kRing);
+    EXPECT_FALSE(r.boolean());
+    EXPECT_EQ(r.u32(), three.size());
+    for (const auto& m : three) {
+      EXPECT_EQ(r.u64(), m.seq);
+      EXPECT_EQ(r.u32(), m.sender.value);
+      EXPECT_EQ(r.u8(), static_cast<std::uint8_t>(m.delivery));
+      EXPECT_EQ(r.bytes(), m.payload.to_bytes());
+    }
+  };
+  const auto expect_join = [&](BytesReader& r) {
+    EXPECT_EQ(r.u8(), 3);
+    EXPECT_EQ(r.u32(), join.sender.value);
+    EXPECT_EQ(r.u32(), join.perceived.size());
+    for (NodeId n : join.perceived) EXPECT_EQ(r.u32(), n.value);
+    EXPECT_EQ(r.u64(), join.old_ring_id);
+    EXPECT_EQ(r.u64(), join.my_aru);
+    EXPECT_EQ(r.u64(), join.high_seq);
+  };
+  const auto expect_commit = [&](BytesReader& r) {
+    EXPECT_EQ(r.u8(), 4);
+    EXPECT_EQ(r.u64(), commit.new_ring_id);
+    EXPECT_EQ(r.u32(), commit.members.size());
+    for (const auto& m : commit.members) {
+      EXPECT_EQ(r.u32(), m.node.value);
+      EXPECT_EQ(r.u64(), m.old_ring_id);
+      EXPECT_EQ(r.u64(), m.aru);
+      EXPECT_EQ(r.u64(), m.high_seq);
+    }
+  };
+
+  struct Case {
+    const char* kind;
+    SharedBytes packet;
+    std::function<void(BytesReader&)> decode;
+  };
+  const Case cases[] = {
+      {"token", W::token(tok), expect_token},
+      {"mcast", W::mcast(one), expect_mcast},
+      {"batch", W::batch(three, kRing, /*recovery=*/false), expect_batch},
+      {"join", W::join(join), expect_join},
+      {"commit", W::commit(commit), expect_commit},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.kind);
+    BytesReader body(std::span<const std::uint8_t>{});
+    ASSERT_TRUE(W::unseal(c.packet, body));
+    c.decode(body);
+    EXPECT_TRUE(body.done());
+    // forge_sealed() reproduces the real envelope bit for bit.
+    const Bytes bytes = c.packet.to_bytes();
+    EXPECT_EQ(forge_sealed(Bytes(bytes.begin() + 8, bytes.end())), bytes);
+
+    std::size_t accepted = 0;
+    Bytes flipped = bytes;
+    for (std::size_t bit = 0; bit < flipped.size() * 8; ++bit) {
+      const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+      flipped[bit / 8] ^= mask;
+      BytesReader r(std::span<const std::uint8_t>{});
+      if (W::unseal(SharedBytes::copy_of(flipped), r)) {
+        ++accepted;
+        ADD_FAILURE() << "flip of bit " << bit << " passed the envelope check";
+      }
+      flipped[bit / 8] ^= mask;
+    }
+    EXPECT_EQ(accepted, 0u) << "of " << flipped.size() * 8 << " single-bit flips";
+  }
 }
 
 TEST(TotemStatsTest, TokensCirculateWhileIdle) {
