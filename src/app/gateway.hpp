@@ -30,8 +30,8 @@
 
 #include "app/topology.hpp"
 #include "common/bytes.hpp"
+#include "common/inline_fn.hpp"
 #include "common/types.hpp"
-#include "common/unique_fn.hpp"
 #include "obs/recorder.hpp"
 #include "orb/rmi_client.hpp"
 #include "sim/task_scope.hpp"
@@ -72,10 +72,10 @@ inline Bytes frame_fwd_reply(std::uint64_t fwd_id, const Bytes& reply) {
 
 class GatewayRouter {
  public:
-  using ReplyFn = UniqueFn<void(const Bytes&)>;
+  using ReplyFn = InlineFn<void(const Bytes&)>;
   /// Ship a typed frame to another ring's gateway (the Archipelago wraps
   /// its InterIslandLink here).
-  using SendFrameFn = UniqueFn<void(std::size_t dst_ring, Bytes frame)>;
+  using SendFrameFn = InlineFn<void(std::size_t dst_ring, Bytes frame)>;
 
   /// `scope` is the gateway node's lifecycle scope: call()'s resume
   /// events are registered there so they die with the node.

@@ -22,7 +22,7 @@
 
 #include "app/time_server.hpp"
 #include "clock/physical_clock.hpp"
-#include "common/unique_fn.hpp"
+#include "common/inline_fn.hpp"
 #include "cts/consistent_time_service.hpp"
 #include "gcs/gcs.hpp"
 #include "net/network.hpp"
@@ -244,7 +244,7 @@ class Testbed {
   /// move-only destroy-on-drop continuation: if the testbed (or the new
   /// manager) is torn down mid-recovery it is destroyed, never invoked
   /// twice and never leaked.
-  void restart_server(std::uint32_t s, UniqueFn<void()> recovered = nullptr) {
+  void restart_server(std::uint32_t s, InlineFn<void()> recovered = nullptr) {
     rebuild_server(s, /*group_reset=*/false).start_recovering(std::move(recovered));
   }
 

@@ -24,8 +24,8 @@
 #include <map>
 
 #include "clock/physical_clock.hpp"
+#include "common/inline_fn.hpp"
 #include "common/types.hpp"
-#include "common/unique_fn.hpp"
 #include "gcs/gcs.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task_scope.hpp"
@@ -41,7 +41,7 @@ class PrimaryBackupClockService {
   /// with destroy-on-drop semantics (same discipline as the CTS's
   /// RoundContinuation): tearing the service down mid-reading destroys the
   /// suspended caller instead of leaking it.
-  using DoneFn = UniqueFn<void(Micros)>;
+  using DoneFn = InlineFn<void(Micros)>;
   /// The clock read by the primary.  Usually a PhysicalClock, but the
   /// failover ablation also runs this baseline over an NTP-disciplined
   /// clock ("alleviated by closely synchronizing the clocks", Section 1).

@@ -31,7 +31,12 @@ using Bytes = std::vector<std::uint8_t>;
 /// arrived in.  Copying a SharedBytes bumps a refcount; the underlying
 /// buffer is freed when the last view drops.  The owner is type-erased:
 /// a wrapped Bytes, or one block built in place by BytesWriter::fixed().
-/// The refcount is atomic: link frames cross island threads.
+/// The refcount is atomic because the owner is a std::shared_ptr, and
+/// libstdc++ updates its count with locked instructions once the process
+/// has started any thread.  No view crosses island threads:
+/// InterIslandLink::send() moves a plain Bytes frame into its post closure,
+/// so every view is made, copied and dropped on one island's worker.
+/// (doc/PARALLEL.md "What speedup to expect" measures what the atomics cost.)
 ///
 /// Ownership rules (see doc/PERFORMANCE.md):
 ///   * the wrapped buffer is immutable for the lifetime of every view —

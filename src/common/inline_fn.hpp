@@ -1,16 +1,25 @@
-// InlineFn: the simulator's event-callback type.
+// InlineFn: the one move-only type-erased callable.
 //
-// A move-only type-erased callable with 48 bytes of inline storage — sized
-// for the real hot-path closures (a network delivery captures this + src +
-// dst + a 32-byte SharedBytes handle = 48 bytes) so scheduling an event
-// performs no allocation.  std::function, by contrast, spills anything past
-// its ~16-byte small-buffer onto the heap, which made every scheduled
-// delivery a malloc/free pair.
+// `InlineFn<R(Args...)>` keeps captures up to 48 bytes inline — sized for
+// the simulator's hot-path closures (a network delivery captures this +
+// src + dst + a 32-byte SharedBytes handle = 48 bytes), so scheduling an
+// event performs no allocation.  std::function, by contrast, spills
+// anything past its ~16-byte small buffer onto the heap, which made every
+// scheduled delivery a malloc/free pair.  Larger captures (and captures
+// whose move may throw) take one plain `new`.
 //
-// Captures larger than the inline buffer (e.g. a Totem token-forward
-// closure carrying a whole Token) fall back to a thread-local size-classed
-// free-list pool, so even the oversize path settles into pointer-swap cost
-// after warm-up instead of hitting the general-purpose allocator per event.
+// It serves two roles:
+//   * the simulator's event callback, `InlineFn<void()>`, built directly
+//     inside its EventHeap slot through emplace();
+//   * the completion callbacks the layers above the simulator exchange
+//     (RMI replies, GCS deliveries, round continuations, baseline clock
+//     readings, recovery-complete notifications).
+//
+// Ownership is honest in both: a callable may hold move-only captures, so
+// a callback can park a `sim::Simulator::CoroResume` guard whose invocation
+// resumes the suspended frame exactly once and whose destructor destroys
+// the frame if the callback is dropped unfired (destroy-on-drop).  Copyable
+// callables (plain lambdas, std::function) convert implicitly.
 //
 // Deliberately NOT implemented with memcpy/reinterpret_cast: the repo's
 // detlint type-pun rule centralizes byte punning in src/common/bytes.hpp,
@@ -23,85 +32,27 @@
 #include <new>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
-namespace cts::sim {
+namespace cts {
 
-namespace detail {
+template <typename Signature>
+class InlineFn;
 
-/// Thread-local free-list pool for oversize callback captures.  Three size
-/// classes cover every closure the protocol stack creates today; anything
-/// larger goes straight to operator new.  Blocks are recycled LIFO (the
-/// hottest block is reused first) and capped per class so a burst cannot
-/// pin memory forever.
-class FnPool {
- public:
-  static constexpr std::size_t kClassSizes[3] = {64, 128, 256};
-  static constexpr std::size_t kMaxFreePerClass = 64;
+template <typename R, typename... Args>
+class InlineFn<R(Args...)> {
+  template <typename D>
+  static constexpr bool kAccepts =
+      !std::is_same_v<D, InlineFn> && std::is_invocable_r_v<R, D&, Args...>;
 
-  static FnPool& instance() {
-    thread_local FnPool pool;
-    return pool;
-  }
-
-  void* allocate(std::size_t n) {
-    const int c = class_of(n);
-    if (c < 0) return ::operator new(n);
-    auto& list = free_[static_cast<std::size_t>(c)];
-    if (!list.empty()) {
-      void* p = list.back();
-      list.pop_back();
-      return p;
-    }
-    return ::operator new(kClassSizes[static_cast<std::size_t>(c)]);
-  }
-
-  void release(void* p, std::size_t n) noexcept {
-    const int c = class_of(n);
-    if (c < 0) {
-      ::operator delete(p);
-      return;
-    }
-    auto& list = free_[static_cast<std::size_t>(c)];
-    if (list.size() >= kMaxFreePerClass) {
-      ::operator delete(p);
-      return;
-    }
-    list.push_back(p);
-  }
-
-  ~FnPool() {
-    for (auto& list : free_) {
-      for (void* p : list) ::operator delete(p);
-    }
-  }
-
- private:
-  static int class_of(std::size_t n) {
-    for (std::size_t i = 0; i < 3; ++i) {
-      if (n <= kClassSizes[i]) return static_cast<int>(i);
-    }
-    return -1;
-  }
-
-  std::vector<void*> free_[3];
-};
-
-}  // namespace detail
-
-/// Move-only `void()` callable with small-buffer-optimized storage.
-class InlineFn {
  public:
   /// Inline capture budget: fits the network delivery closure exactly.
   static constexpr std::size_t kInlineSize = 48;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
   InlineFn() noexcept = default;
+  InlineFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
-  template <typename F,
-            typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, InlineFn> &&
-                                        std::is_invocable_r_v<void, D&>>>
+  template <typename F, typename D = std::decay_t<F>, typename = std::enable_if_t<kAccepts<D>>>
   InlineFn(F&& f) {  // NOLINT(google-explicit-constructor): callable adapter
     construct<F, D>(std::forward<F>(f));
   }
@@ -110,10 +61,7 @@ class InlineFn {
   /// EventHeap uses this to build the callback directly inside its slot,
   /// skipping the type-erased relocation a construct-then-move-assign pair
   /// would pay per scheduled event.
-  template <typename F,
-            typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, InlineFn> &&
-                                        std::is_invocable_r_v<void, D&>>>
+  template <typename F, typename D = std::decay_t<F>, typename = std::enable_if_t<kAccepts<D>>>
   void emplace(F&& f) {
     reset();
     construct<F, D>(std::forward<F>(f));
@@ -132,12 +80,17 @@ class InlineFn {
     return *this;
   }
 
+  InlineFn& operator=(std::nullptr_t) noexcept {
+    reset();
+    return *this;
+  }
+
   InlineFn(const InlineFn&) = delete;
   InlineFn& operator=(const InlineFn&) = delete;
 
   ~InlineFn() { reset(); }
 
-  void operator()() { vt_->invoke(*this); }
+  R operator()(Args... args) { return vt_->invoke(*this, std::forward<Args>(args)...); }
 
   [[nodiscard]] explicit operator bool() const noexcept { return vt_ != nullptr; }
 
@@ -150,7 +103,7 @@ class InlineFn {
 
  private:
   struct VTable {
-    void (*invoke)(InlineFn& self);
+    R (*invoke)(InlineFn& self, Args&&... args);
     // Move `src`'s callable into the empty `dst`; leaves `src` disengaged.
     void (*relocate)(InlineFn& dst, InlineFn& src) noexcept;
     void (*destroy)(InlineFn& self) noexcept;
@@ -167,20 +120,13 @@ class InlineFn {
   void construct(F&& f) {
     // Inline placement requires a nothrow move so relocation (vector growth
     // inside EventHeap) can be noexcept; throwing-move callables are rare
-    // and simply take the pooled path.
+    // and simply take the heap path.
     if constexpr (sizeof(D) <= kInlineSize && alignof(D) <= kInlineAlign &&
                   std::is_nothrow_move_constructible_v<D>) {
       ::new (inline_ptr()) D(std::forward<F>(f));
       vt_ = &kInlineVTable<D>;
     } else {
-      void* p = detail::FnPool::instance().allocate(sizeof(D));
-      try {
-        ::new (p) D(std::forward<F>(f));
-      } catch (...) {
-        detail::FnPool::instance().release(p, sizeof(D));
-        throw;
-      }
-      storage_.heap = p;
+      storage_.heap = new D(std::forward<F>(f));
       vt_ = &kHeapVTable<D>;
     }
   }
@@ -194,11 +140,18 @@ class InlineFn {
   }
 
   template <typename D>
+  static R call(D& f, Args&&... args) {
+    return static_cast<R>(f(std::forward<Args>(args)...));
+  }
+
+  template <typename D>
   struct InlineOps {
     static D* get(InlineFn& self) noexcept {
       return std::launder(static_cast<D*>(self.inline_ptr()));
     }
-    static void invoke(InlineFn& self) { (*get(self))(); }
+    static R invoke(InlineFn& self, Args&&... args) {
+      return call(*get(self), std::forward<Args>(args)...);
+    }
     static void relocate(InlineFn& dst, InlineFn& src) noexcept {
       D* s = get(src);
       ::new (dst.inline_ptr()) D(std::move(*s));
@@ -210,14 +163,13 @@ class InlineFn {
   template <typename D>
   struct HeapOps {
     static D* get(InlineFn& self) noexcept { return static_cast<D*>(self.storage_.heap); }
-    static void invoke(InlineFn& self) { (*get(self))(); }
+    static R invoke(InlineFn& self, Args&&... args) {
+      return call(*get(self), std::forward<Args>(args)...);
+    }
     static void relocate(InlineFn& dst, InlineFn& src) noexcept {
       dst.storage_.heap = src.storage_.heap;
     }
-    static void destroy(InlineFn& self) noexcept {
-      get(self)->~D();
-      detail::FnPool::instance().release(self.storage_.heap, sizeof(D));
-    }
+    static void destroy(InlineFn& self) noexcept { delete get(self); }
   };
 
   template <typename D>
@@ -225,10 +177,10 @@ class InlineFn {
                                         &InlineOps<D>::destroy};
   template <typename D>
   static constexpr VTable kHeapVTable{&HeapOps<D>::invoke, &HeapOps<D>::relocate,
-                                      &HeapOps<D>::destroy};
+                                     &HeapOps<D>::destroy};
 
   const VTable* vt_ = nullptr;
   Storage storage_;
 };
 
-}  // namespace cts::sim
+}  // namespace cts

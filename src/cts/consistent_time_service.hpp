@@ -41,8 +41,8 @@
 #include <memory>
 
 #include "clock/physical_clock.hpp"
+#include "common/inline_fn.hpp"
 #include "common/types.hpp"
-#include "common/unique_fn.hpp"
 #include "cts/ccs_message.hpp"
 #include "gcs/gcs.hpp"
 #include "obs/recorder.hpp"
@@ -127,7 +127,7 @@ class RoundContinuation {
   /// Move-only: round completions are single-owner by construction (each
   /// fires exactly once), and callers park move-only state — handoff
   /// payloads, pending-reply completions — inside them.
-  using DoneFn = UniqueFn<void(Micros)>;
+  using DoneFn = InlineFn<void(Micros)>;
 
   RoundContinuation() = default;
   /// Callback form.

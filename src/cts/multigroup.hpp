@@ -20,7 +20,7 @@
 // With ROADMAP item 1 this is no longer a demo: every cross-shard path —
 // the archipelago ping chain, KV lease transfers, session migrations —
 // rides a CausalMessenger stream, so the callbacks follow the move-only
-// UniqueFn discipline (handoff adopters park single-owner state in them)
+// InlineFn discipline (handoff adopters park single-owner state in them)
 // and malformed stamps are counted (multigroup.stamps_rejected) instead of
 // silently swallowed.
 #pragma once
@@ -28,7 +28,7 @@
 #include <utility>
 
 #include "common/bytes.hpp"
-#include "common/unique_fn.hpp"
+#include "common/inline_fn.hpp"
 #include "cts/consistent_time_service.hpp"
 #include "gcs/gcs.hpp"
 
@@ -60,9 +60,9 @@ class CausalMessenger {
   /// Called with (header, timestamp, body) for each stamped message
   /// delivered to this group.  Move-only: cross-shard adopters capture
   /// single-owner handoff state.
-  using StampedDeliverFn = UniqueFn<void(const gcs::Message&, Micros, const Bytes&)>;
+  using StampedDeliverFn = InlineFn<void(const gcs::Message&, Micros, const Bytes&)>;
   /// Completion of stamp_and_send: receives the timestamp used.
-  using StampedDoneFn = UniqueFn<void(Micros)>;
+  using StampedDoneFn = InlineFn<void(Micros)>;
 
   CausalMessenger(gcs::GcsEndpoint& gcs, ConsistentTimeService& time, GroupId my_group,
                   ThreadId thread)

@@ -118,7 +118,7 @@ void GcsEndpoint::leave_group(GroupId g, ReplicaId r) {
 }
 
 void GcsEndpoint::subscribe(GroupId g, DeliverFn fn) {
-  subscribers_[g].push_back(std::move(fn));
+  subscribers_[g].push_back(std::make_unique<DeliverFn>(std::move(fn)));
 }
 
 void GcsEndpoint::subscribe_view(GroupId g, ViewFn fn) {
@@ -386,12 +386,13 @@ void GcsEndpoint::process_message(Message m) {
   // Index loop with a re-find per iteration: a callback may subscribe (CTS
   // construction during recovery paths), growing the vector — or a whole
   // new group's entry — mid-delivery; both the vector reference and the
-  // FlatMap entry can move across the reallocation.  New subscribers do
-  // not see the message that triggered their registration.
+  // FlatMap entry can move across the reallocation (the callables
+  // themselves stay put).  New subscribers do not see the message that
+  // triggered their registration.
   for (std::size_t i = 0;; ++i) {
     auto sub = subscribers_.find(m.hdr.dst_grp);
     if (sub == subscribers_.end() || i >= sub->second.size()) break;
-    sub->second[i](m);
+    (*sub->second[i])(m);
   }
 }
 

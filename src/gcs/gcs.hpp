@@ -26,13 +26,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/flat_map.hpp"
+#include "common/inline_fn.hpp"
 #include "common/types.hpp"
-#include "common/unique_fn.hpp"
 #include "sim/simulator.hpp"
 #include "totem/totem.hpp"
 
@@ -119,12 +120,12 @@ struct GcsStats {
 /// One GCS endpoint per simulated host, layered on that host's TotemNode.
 class GcsEndpoint {
  public:
-  /// Delivery callbacks are move-only (UniqueFn): facades above GCS
+  /// Delivery callbacks are move-only (InlineFn): facades above GCS
   /// (CausalMessenger, the gateway router, handoff adopters) park
   /// single-owner state — pending completions, coroutine guards — inside
   /// their subscription closures, and the endpoint only ever moves and
   /// invokes them.
-  using DeliverFn = UniqueFn<void(const Message&)>;
+  using DeliverFn = InlineFn<void(const Message&)>;
   using ViewFn = std::function<void(const GroupView&)>;
 
   GcsEndpoint(sim::Simulator& sim, totem::TotemNode& totem);
@@ -243,7 +244,10 @@ class GcsEndpoint {
   // chasing.  Insert/erase invalidates references — the delivery paths
   // re-find entries after every callback that could mutate these maps.
   FlatMap<GroupId, GroupView> views_;
-  FlatMap<GroupId, std::vector<DeliverFn>> subscribers_;
+  // Each delivery callback lives in its own block: a callback may
+  // subscribe mid-delivery, and growing the vector must not relocate the
+  // callable that is running (an InlineFn keeps small captures inline).
+  FlatMap<GroupId, std::vector<std::unique_ptr<DeliverFn>>> subscribers_;
   FlatMap<GroupId, std::vector<ViewFn>> view_subscribers_;
   std::vector<std::pair<GroupId, ReplicaId>> local_members_;
 

@@ -14,8 +14,8 @@
 #include <optional>
 
 #include "common/bytes.hpp"
+#include "common/inline_fn.hpp"
 #include "common/types.hpp"
-#include "common/unique_fn.hpp"
 #include "gcs/gcs.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task_scope.hpp"
@@ -25,16 +25,16 @@ namespace cts::orb {
 /// Client-side stub for a replicated server group.
 class RmiClient {
  public:
-  /// Completion callbacks are move-only (UniqueFn) so the coroutine
+  /// Completion callbacks are move-only (InlineFn) so the coroutine
   /// awaitables below can park their frame inside with destroy-on-drop
   /// semantics: a client torn down with invocations in flight destroys the
   /// suspended callers instead of leaking them.
-  using ReplyFn = UniqueFn<void(const Bytes&)>;
-  using TimeoutFn = UniqueFn<void()>;
+  using ReplyFn = InlineFn<void(const Bytes&)>;
+  using TimeoutFn = InlineFn<void()>;
   /// Single-owner completion for timed invocations: called with the reply,
   /// or with nullptr on timeout.  One callable owns the parked frame, so
   /// there is exactly one owner no matter which way the race resolves.
-  using CompleteFn = UniqueFn<void(const Bytes*)>;
+  using CompleteFn = InlineFn<void(const Bytes*)>;
 
   /// `client_group` is this client's own (usually singleton) group; replies
   /// are addressed to it.  `conn` identifies the client→server connection.

@@ -73,10 +73,8 @@ ReplicaManager::~ReplicaManager() {
   // mid-simulation.  Cancel them through the node's scope, which outlives
   // the manager; cancellation consumes no sequence numbers, so surviving
   // events keep their positions in the deterministic schedule.
-  if (get_state_armed_) scope_.cancel(get_state_timer_);
-  for (auto& sh : lanes_) {
-    if (sh.pump_armed) scope_.cancel(sh.pump_event);
-  }
+  scope_.cancel(get_state_timer_);
+  for (auto& sh : lanes_) scope_.cancel(sh.pump_event);
 }
 
 void ReplicaManager::start() {
@@ -84,7 +82,7 @@ void ReplicaManager::start() {
   gcs_.join_group(cfg_.group, cfg_.replica);
 }
 
-void ReplicaManager::start_recovering(UniqueFn<void()> recovered) {
+void ReplicaManager::start_recovering(InlineFn<void()> recovered) {
   recovering_ = true;
   clock_initialized_ = false;
   saw_own_get_state_ = false;
@@ -138,16 +136,14 @@ void ReplicaManager::send_get_state() {
   // Re-issues can overlap an armed retry (e.g. a checkpoint raced clock
   // initialization): drop the stale timer first — it would only bail on its
   // epoch check anyway, and cancellation consumes no sequence numbers.
-  if (get_state_armed_) scope_.cancel(get_state_timer_);
+  scope_.cancel(get_state_timer_);
   get_state_timer_ = scope_.after(cfg_.get_state_retry_us, [this, epoch = recovery_epoch_] {
-    get_state_armed_ = false;
     if (recovering_ && recovery_epoch_ == epoch) {
       CTS_WARN() << "replica " << to_string(cfg_.replica)
                  << " state transfer timed out; re-issuing GET_STATE";
       send_get_state();
     }
   });
-  get_state_armed_ = true;
 }
 
 void ReplicaManager::start_cold() {
@@ -185,8 +181,6 @@ void ReplicaManager::start_cold() {
   m.payload = chained_checkpoint();
   gcs_.send(std::move(m));
 }
-
-void ReplicaManager::stop() { gcs_.leave_group(cfg_.group, cfg_.replica); }
 
 // --- Message routing ---------------------------------------------------------------
 
@@ -329,12 +323,8 @@ void ReplicaManager::process(std::uint32_t lane, PendingRequest req) {
     // Trampoline through the event queue so long synchronous bursts do not
     // recurse.  The event is scope-owned: a crash (or manager destruction)
     // cancels it instead of pumping a dead replica.
-    if (!sh.pump_armed) {
-      sh.pump_armed = true;
-      sh.pump_event = scope_.after(0, [this, lane] {
-        lanes_[lane].pump_armed = false;
-        pump(lane);
-      });
+    if (!sim_.scheduled(sh.pump_event)) {
+      sh.pump_event = scope_.after(0, [this, lane] { pump(lane); });
     }
   });
 }
@@ -490,12 +480,8 @@ void ReplicaManager::serve_state_transfer(const gcs::Message& get_state) {
       assert(sh.at_barrier && !sh.queue.empty());
       sh.queue.pop_front();
       sh.at_barrier = false;
-      if (!sh.pump_armed) {
-        sh.pump_armed = true;
-        sh.pump_event = scope_.after(0, [this, s] {
-          lanes_[s].pump_armed = false;
-          pump(s);
-        });
+      if (!sim_.scheduled(sh.pump_event)) {
+        sh.pump_event = scope_.after(0, [this, s] { pump(s); });
       }
     }
   });

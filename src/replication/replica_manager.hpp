@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "clock/physical_clock.hpp"
-#include "common/unique_fn.hpp"
+#include "common/inline_fn.hpp"
 #include "cts/consistent_time_service.hpp"
 #include "gcs/gcs.hpp"
 #include "replication/checkpoint_chain.hpp"
@@ -125,7 +125,7 @@ class ReplicaManager {
   /// continuation is move-only with destroy-on-drop semantics: if the
   /// manager is torn down mid-recovery the continuation is destroyed,
   /// never invoked, and never leaked.
-  void start_recovering(UniqueFn<void()> recovered = nullptr);
+  void start_recovering(InlineFn<void()> recovered = nullptr);
 
   /// Cold start after a TOTAL group failure: restore the newest local
   /// checkpoint from stable storage (if any), join the group, and announce
@@ -133,9 +133,6 @@ class ReplicaManager {
   /// CTS state forces the group clock above every reading handed out
   /// before the outage.
   void start_cold();
-
-  /// Leave the group cleanly.
-  void stop();
 
   [[nodiscard]] bool is_primary() const { return primary_; }
   [[nodiscard]] bool recovered() const { return !recovering_; }
@@ -206,12 +203,11 @@ class ReplicaManager {
   bool clock_initialized_ = false;   // recovering: special round adopted
   bool saw_own_get_state_ = false;   // recovering: our GET_STATE was ordered
   MsgSeqNum recovery_epoch_ = 0;     // seq of our outstanding GET_STATE
-  UniqueFn<void()> recovered_cb_;
+  InlineFn<void()> recovered_cb_;
 
   // The GET_STATE retry timer, cancelled on destruction/crash instead of
   // firing into a freed (or dead) manager.
   sim::Simulator::EventId get_state_timer_{};
-  bool get_state_armed_ = false;
 
   // Per-lane serialized request processing; lanes run concurrently.
   // A kGetState entry acts as a barrier: the lane stalls on it until
@@ -226,7 +222,6 @@ class ReplicaManager {
     // The pump trampoline through the event queue (at most one in flight
     // per lane), scope-owned like every other node event.
     sim::Simulator::EventId pump_event{};
-    bool pump_armed = false;
   };
   std::vector<Lane> lanes_;
   std::uint64_t delivery_count_ = 0;   // requests delivered so far (total order)

@@ -29,8 +29,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/inline_fn.hpp"
 #include "common/types.hpp"
-#include "sim/inline_fn.hpp"
 
 namespace cts::sim {
 
@@ -38,12 +38,26 @@ class EventHeap {
  public:
   /// Stable handle: (generation << 32) | (slot index + 1).  Zero is never
   /// produced, so a default-constructed handle is always invalid.
+  ///
+  /// The handle is the whole record of a pending event.  Once the event
+  /// fires or is cancelled, cancel(), reschedule() and live() on its handle
+  /// return false and change nothing, so callers keep the handle and no
+  /// "armed" flag beside it: cancelling a timer that may have fired is just
+  /// cancel(), and "is it pending" is just live().
+  ///
+  /// Horizon: the slot's generation is 32 bits and moves on each time the
+  /// slot is released.  A stale handle could therefore alias a later event
+  /// only if its slot were reused 2^32 times while the handle is still
+  /// held.  The LIFO free list can route nearly every event of a shallow
+  /// queue through one slot, so that is about 4.3 billion events scheduled
+  /// after the handle went stale (a perfbench instance schedules about 5
+  /// million in total).
   using Handle = std::uint64_t;
 
   /// The popped front of the queue.
   struct Fired {
     Micros time;
-    InlineFn fn;
+    InlineFn<void()> fn;
   };
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
@@ -137,7 +151,7 @@ class EventHeap {
   struct Slot {
     std::uint32_t generation = 0;
     std::uint32_t heap_pos = kFreePos;
-    InlineFn fn;
+    InlineFn<void()> fn;
   };
 
   static constexpr std::uint32_t kFreePos = UINT32_MAX;

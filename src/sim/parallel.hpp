@@ -54,8 +54,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/inline_fn.hpp"
 #include "common/types.hpp"
-#include "sim/inline_fn.hpp"
 #include "sim/simulator.hpp"
 
 #if defined(__linux__)
@@ -134,7 +134,7 @@ class IslandCoordinator {
     assert(deliver_at >= islands_[src]->now() + floor_ &&
            "cross-island delivery below the conservative window floor");
     auto& cell = mail_[src * islands_.size() + dst];
-    cell.push_back(Entry{deliver_at, InlineFn(std::forward<F>(fn))});
+    cell.push_back(Entry{deliver_at, InlineFn<void()>(std::forward<F>(fn))});
   }
 
   /// Run every island up to and including virtual time `t` (the multi-island
@@ -216,7 +216,7 @@ class IslandCoordinator {
  private:
   struct Entry {
     Micros at;
-    InlineFn fn;
+    InlineFn<void()> fn;
   };
 
   static constexpr Micros kInf = std::numeric_limits<Micros>::max();

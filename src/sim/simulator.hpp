@@ -29,10 +29,10 @@
 #include <limits>
 #include <utility>
 
+#include "common/inline_fn.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "sim/event_heap.hpp"
-#include "sim/inline_fn.hpp"
 
 namespace cts::sim {
 
@@ -56,7 +56,7 @@ struct Task {
 /// The event queue and simulated clock.
 class Simulator {
  public:
-  using EventFn = InlineFn;
+  using EventFn = InlineFn<void()>;
 
   /// Handle for cancelling or rescheduling a scheduled callback.  A
   /// default-constructed EventId is never valid; a fired or cancelled id

@@ -185,26 +185,21 @@ bool TotemNode::cancel(std::uint64_t handle) {
 // --- Timer plumbing -----------------------------------------------------------
 
 void TotemNode::cancel_timers() {
-  if (seek_armed_) scope_.cancel(seek_timer_), seek_armed_ = false;
-  if (token_loss_armed_) scope_.cancel(token_loss_timer_), token_loss_armed_ = false;
-  if (token_retrans_armed_) scope_.cancel(token_retrans_timer_), token_retrans_armed_ = false;
-  if (gather_armed_) scope_.cancel(gather_timer_), gather_armed_ = false;
-  if (commit_armed_) scope_.cancel(commit_timer_), commit_armed_ = false;
-  if (recovery_armed_) scope_.cancel(recovery_timer_), recovery_armed_ = false;
+  scope_.cancel(seek_timer_);
+  scope_.cancel(token_loss_timer_);
+  scope_.cancel(token_retrans_timer_);
+  scope_.cancel(gather_timer_);
+  scope_.cancel(commit_timer_);
+  scope_.cancel(recovery_timer_);
 }
 
 void TotemNode::reset_token_loss_timer() {
   // Fires on every token receipt: re-key the live timer in place instead
   // of a cancel+insert pair.  The reused closure's captured epoch is still
   // current — epoch only changes on crash(), which cancels all timers.
-  if (token_loss_armed_ &&
-      scope_.reschedule(token_loss_timer_, sim_.now() + cfg_.token_loss_timeout_us)) {
-    return;
-  }
-  token_loss_armed_ = true;
+  if (scope_.reschedule(token_loss_timer_, sim_.now() + cfg_.token_loss_timeout_us)) return;
   token_loss_timer_ = scope_.after(cfg_.token_loss_timeout_us, [this, e = epoch_] {
     if (e != epoch_ || state_ != State::kOperational) return;
-    token_loss_armed_ = false;
     enter_gather("token loss");
   });
 }
@@ -365,7 +360,7 @@ void TotemNode::handle_token(Token tok) {
   if (token_obs_) token_obs_();
 
   // Progress: the ring is alive.
-  if (token_retrans_armed_) scope_.cancel(token_retrans_timer_), token_retrans_armed_ = false;
+  scope_.cancel(token_retrans_timer_);
   reset_token_loss_timer();
 
   // 1. Service retransmission requests for messages we hold.
@@ -519,16 +514,12 @@ void TotemNode::send_token_to_successor(Token tok) {
 }
 
 void TotemNode::arm_token_retrans() {
-  // Re-armed on every token we forward; re-key the live timer when possible
-  // (see reset_token_loss_timer for the epoch argument).
-  if (token_retrans_armed_ &&
-      scope_.reschedule(token_retrans_timer_, sim_.now() + cfg_.token_retrans_timeout_us)) {
-    return;
-  }
-  token_retrans_armed_ = true;
+  // Armed on every token we forward.  The previous timer is never live
+  // here: handle_token() cancelled it when this token arrived, and a
+  // retransmission re-arms from inside the timer that just fired.
+  assert(!sim_.scheduled(token_retrans_timer_));
   token_retrans_timer_ = scope_.after(cfg_.token_retrans_timeout_us, [this, e = epoch_] {
     if (e != epoch_ || state_ != State::kOperational || last_sent_token_.empty()) return;
-    token_retrans_armed_ = false;
     // Give up after a few attempts: the token-loss timeout will rebuild the
     // ring if the successor really is gone.
     if (token_retrans_attempts_ >= kMaxTokenRetransAttempts) return;
@@ -550,7 +541,7 @@ void TotemNode::handle_mcast(Mcast m) {
     if (m.ring_id == view_.ring_id) {
       store_and_deliver(std::move(m));
       // Seeing traffic means the token moved on: stop retransmitting it.
-      if (token_retrans_armed_) scope_.cancel(token_retrans_timer_), token_retrans_armed_ = false;
+      scope_.cancel(token_retrans_timer_);
       return;
     }
     if (!known_rings_.contains(m.ring_id)) {
@@ -577,7 +568,7 @@ void TotemNode::handle_batch(RingId ring_id, std::vector<Mcast> msgs) {
         store_and_deliver(std::move(m));
       }
       // Seeing traffic means the token moved on: stop retransmitting it.
-      if (token_retrans_armed_) scope_.cancel(token_retrans_timer_), token_retrans_armed_ = false;
+      scope_.cancel(token_retrans_timer_);
       return;
     }
     if (!known_rings_.contains(ring_id)) enter_gather("foreign message");
@@ -634,21 +625,19 @@ void TotemNode::enter_gather(const char* reason) {
   CTS_DEBUG() << to_string(id_) << " entering gather (" << reason << ")";
   // Leaving operational: stop the ring timers; keep store_ (old-ring
   // messages are recovered after the next commit).
-  if (token_loss_armed_) scope_.cancel(token_loss_timer_), token_loss_armed_ = false;
-  if (token_retrans_armed_) scope_.cancel(token_retrans_timer_), token_retrans_armed_ = false;
-  if (commit_armed_) scope_.cancel(commit_timer_), commit_armed_ = false;
-  if (recovery_armed_) scope_.cancel(recovery_timer_), recovery_armed_ = false;
+  scope_.cancel(token_loss_timer_);
+  scope_.cancel(token_retrans_timer_);
+  scope_.cancel(commit_timer_);
+  scope_.cancel(recovery_timer_);
   state_ = State::kGather;
   joins_.clear();
   perceived_.clear();
   perceived_.insert(id_);
   broadcast_join();
 
-  if (gather_armed_) scope_.cancel(gather_timer_);
-  gather_armed_ = true;
+  scope_.cancel(gather_timer_);
   gather_timer_ = scope_.after(cfg_.gather_timeout_us, [this, e = epoch_] {
     if (e != epoch_ || state_ != State::kGather) return;
-    gather_armed_ = false;
     on_gather_deadline();
   });
 }
@@ -689,11 +678,9 @@ void TotemNode::handle_join(const Join& j) {
     // Our view of the candidate set changed: re-announce and give everyone
     // time to converge on the same set.
     broadcast_join();
-    if (gather_armed_) scope_.cancel(gather_timer_);
-    gather_armed_ = true;
+    scope_.cancel(gather_timer_);
     gather_timer_ = scope_.after(cfg_.gather_timeout_us, [this, e = epoch_] {
       if (e != epoch_ || state_ != State::kGather) return;
-      gather_armed_ = false;
       on_gather_deadline();
     });
   }
@@ -738,11 +725,9 @@ void TotemNode::on_gather_deadline() {
   } else {
     // Wait for the representative's commit; regather if it never comes
     // (e.g. the representative crashed right after the gather phase).
-    if (commit_armed_) scope_.cancel(commit_timer_);
-    commit_armed_ = true;
+    scope_.cancel(commit_timer_);
     commit_timer_ = scope_.after(cfg_.commit_timeout_us, [this, e = epoch_] {
       if (e != epoch_ || state_ != State::kGather) return;
-      commit_armed_ = false;
       enter_gather("commit timeout");
     });
   }
@@ -754,8 +739,8 @@ void TotemNode::handle_commit(const Commit& c) {
   for (const auto& m : c.members) me_in |= (m.node == id_);
   if (!me_in) return;
   if (c.new_ring_id <= max_ring_seen_) return;  // stale commit
-  if (gather_armed_) scope_.cancel(gather_timer_), gather_armed_ = false;
-  if (commit_armed_) scope_.cancel(commit_timer_), commit_armed_ = false;
+  scope_.cancel(gather_timer_);
+  scope_.cancel(commit_timer_);
   begin_recovery(c);
 }
 
@@ -801,11 +786,9 @@ void TotemNode::begin_recovery(const Commit& c) {
     flush();
   }
 
-  if (recovery_armed_) scope_.cancel(recovery_timer_);
-  recovery_armed_ = true;
+  scope_.cancel(recovery_timer_);
   recovery_timer_ = scope_.after(cfg_.recovery_timeout_us, [this, e = epoch_] {
     if (e != epoch_ || state_ != State::kRecover) return;
-    recovery_armed_ = false;
     finish_recovery();
   });
 }
@@ -876,15 +859,13 @@ void TotemNode::install(const View& v) {
   if (view_cb_) view_cb_(view_);
 
   reset_token_loss_timer();
-  if (seek_armed_) scope_.cancel(seek_timer_), seek_armed_ = false;
+  scope_.cancel(seek_timer_);
   if (!view_.primary) {
     // Keep looking for the rest of the universe: once the partition heals,
     // the periodic Join reaches the primary component and triggers a merge
     // even if nobody is multicasting.
-    seek_armed_ = true;
     seek_timer_ = scope_.after(cfg_.seek_interval_us, [this, e = epoch_] {
       if (e != epoch_ || state_ != State::kOperational || view_.primary) return;
-      seek_armed_ = false;
       enter_gather("seeking primary component");
     });
   }

@@ -345,23 +345,20 @@ class TotemNode {
   // (empty before the first forward on a ring).
   SharedBytes last_sent_token_;
   int token_retrans_attempts_ = 0;
+  // Each timer is just its event-heap handle: cancelling or re-keying one
+  // that already fired, or was cancelled, is a no-op (see event_heap.hpp).
   sim::Simulator::EventId token_retrans_timer_{};
   sim::Simulator::EventId token_loss_timer_{};
-  bool token_loss_armed_ = false;
-  bool token_retrans_armed_ = false;
 
   // Gather state.
   FlatMap<NodeId, Join> joins_;
   FlatSet<NodeId> perceived_;
   sim::Simulator::EventId gather_timer_{};
-  bool gather_armed_ = false;
   sim::Simulator::EventId commit_timer_{};
-  bool commit_armed_ = false;
 
   // Recovery state.
   Commit pending_commit_;
   sim::Simulator::EventId recovery_timer_{};
-  bool recovery_armed_ = false;
   // Highest old-ring seq any surviving member reported; install is delayed
   // (bounded retries) until our contiguous store reaches it, so a lost
   // recovery rebroadcast cannot silently punch a hole in the delivered
@@ -370,7 +367,6 @@ class TotemNode {
   int recovery_attempts_ = 0;
 
   sim::Simulator::EventId seek_timer_{};
-  bool seek_armed_ = false;
 
   // Ring ids this node has been part of or seen; foreign-mcast detection
   // ignores these so stray recovery rebroadcasts don't re-trigger gather.

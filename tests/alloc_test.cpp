@@ -148,7 +148,7 @@ TEST(AllocTest, InlineEventSchedulingIsAllocationFreeAtSteadyState) {
     std::uint64_t* fired;
     std::uint64_t pad[4];
   };
-  static_assert(sizeof(Capture) <= sim::InlineFn::kInlineSize);
+  static_assert(sizeof(Capture) <= sim::Simulator::EventFn::kInlineSize);
   auto schedule_round = [&] {
     for (int i = 0; i < 256; ++i) {
       sim.after(static_cast<cts::Micros>(i % 7),
@@ -299,7 +299,7 @@ struct IdleRing {
     cfg.universe = {NodeId{0}, NodeId{1}, NodeId{2}};
     for (const NodeId n : cfg.universe) nodes.push_back(std::make_unique<TotemNode>(sim, net, n, cfg));
     for (auto& n : nodes) n->start();
-    sim.run_for(200'000);  // form the ring, then warm every arena and pool
+    sim.run_for(200'000);  // form the ring, then warm every arena
   }
 
   [[nodiscard]] bool operational() const {
@@ -315,10 +315,11 @@ struct IdleRing {
 };
 
 TEST(AllocTest, IdleTokenHopAllocatesOnlyItsSealedPacket) {
-  // A hop is receive (unseal + decode), hold (a pooled timer closure) and
-  // forward (encode + send).  The packet is built in place in one
-  // refcounted block, so that block is the hop's only allocation (a
-  // vector-backed packet costs two: the buffer and its control block).
+  // A hop is receive (unseal + decode), hold (a timer closure kept inline
+  // in its event slot) and forward (encode + send).  The packet is built in
+  // place in one refcounted block, so that block is the hop's only
+  // allocation (a vector-backed packet costs two: the buffer and its
+  // control block).
   IdleRing ring;
   ASSERT_TRUE(ring.operational());
   const std::uint64_t sent_before = ring.tokens_sent();

@@ -631,6 +631,41 @@ TEST(DetlintTest, HotPathMapSuppressible) {
   EXPECT_TRUE(lint_content("src/obs/a.hpp", src).empty());
 }
 
+// --- co-await-conditional -------------------------------------------------------
+
+TEST(DetlintTest, ConditionalInsideCoAwaitOperandFlagged) {
+  const std::string src = "Task f(bool c) {\n"
+                          "  co_await call(c ? a() : b());\n"
+                          "}\n";
+  const auto fs = lint_content("src/app/a.cpp", src);
+  ASSERT_TRUE(has_rule(fs, "co-await-conditional"));
+  EXPECT_EQ(line_of(fs, "co-await-conditional"), 2);
+  const auto err = std::find_if(fs.begin(), fs.end(), [](const Finding& f) {
+    return f.rule == "co-await-conditional";
+  });
+  EXPECT_EQ(err->severity, Severity::kError);
+  // Through member access and explicit template arguments too.
+  EXPECT_TRUE(has_rule(lint_content("tests/a.cpp", "co_await s.await_callback<int>(c ? f : g);\n"),
+                       "co-await-conditional"));
+}
+
+TEST(DetlintTest, ConditionalOutsideCoAwaitOperandNotFlagged) {
+  // A named local holds the selected value.
+  EXPECT_FALSE(has_rule(lint_content("src/app/a.cpp",
+                                     "auto v = c ? a() : b();\n"
+                                     "co_await call(std::move(v));\n"),
+                        "co-await-conditional"));
+  // The conditional applies to the awaited result, not inside the operand.
+  EXPECT_FALSE(has_rule(lint_content("src/app/a.cpp", "auto r = (co_await x) ? a : b;\n"),
+                        "co-await-conditional"));
+  // A lambda body handed to the awaitable is a function of its own.
+  EXPECT_FALSE(has_rule(lint_content("src/app/a.cpp",
+                                     "co_await s.await_callback<int>([&](auto done) {\n"
+                                     "  done(c ? 1 : 2);\n"
+                                     "});\n"),
+                        "co-await-conditional"));
+}
+
 TEST(DetlintTest, JsonOutputCarriesCountsAndFindings) {
   const Finding warn{"src/a.hpp", 3, "pointer-key", Severity::kWarning, "keyed on pointer"};
   const Finding err{"src/b.cpp", 7, "wall-clock", Severity::kError, "say \"when\""};

@@ -2,17 +2,23 @@
 // and the InlineFn callback type it stores: strict (time, seq) pop order,
 // in-place cancellation from every heap position, in-place reschedule, slot
 // recycling under fire/cancel churn, and a randomized differential check
-// against a std::multimap oracle.
+// against a std::multimap oracle.  The InlineFn cases also cover the
+// callable's other role, the move-only completion callbacks the layers
+// above the simulator exchange: arguments, return values and
+// destroy-on-drop of a parked coroutine frame.
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "common/bytes.hpp"
+#include "common/inline_fn.hpp"
 #include "common/rng.hpp"
 #include "sim/event_heap.hpp"
-#include "sim/inline_fn.hpp"
 #include "sim/simulator.hpp"
 
 namespace cts::sim {
@@ -216,9 +222,9 @@ TEST(EventHeapTest, FuzzAgainstMultimapOracle) {
 
 // --- InlineFn ------------------------------------------------------------------
 
-TEST(InlineFnTest, InvokesInlineAndPooledCallables) {
+TEST(InlineFnTest, InvokesInlineAndHeapCallables) {
   int hits = 0;
-  InlineFn small = [&hits] { ++hits; };  // fits inline
+  InlineFn<void()> small = [&hits] { ++hits; };  // fits inline
   small();
   EXPECT_EQ(hits, 1);
 
@@ -227,7 +233,7 @@ TEST(InlineFnTest, InvokesInlineAndPooledCallables) {
     std::byte pad[128];
     void operator()() const { ++*hits; }
   };
-  InlineFn big = Big{&hits, {}};  // pooled path
+  InlineFn<void()> big = Big{&hits, {}};  // oversize: one plain new
   big();
   EXPECT_EQ(hits, 2);
 }
@@ -236,11 +242,11 @@ TEST(InlineFnTest, MoveTransfersOwnershipOfCaptures) {
   auto token = std::make_shared<int>(7);
   std::weak_ptr<int> alive = token;
   int got = 0;
-  InlineFn a = [token, &got] { got = *token; };
+  InlineFn<void()> a = [token, &got] { got = *token; };
   token.reset();
   EXPECT_FALSE(alive.expired());  // capture keeps it alive
 
-  InlineFn b = std::move(a);
+  InlineFn<void()> b = std::move(a);
   EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move): tested on purpose
   EXPECT_TRUE(static_cast<bool>(b));
   b();
@@ -253,11 +259,86 @@ TEST(InlineFnTest, MoveTransfersOwnershipOfCaptures) {
 TEST(InlineFnTest, MoveAssignDestroysPreviousCallable) {
   auto first = std::make_shared<int>(1);
   std::weak_ptr<int> first_alive = first;
-  InlineFn fn = [first] { (void)first; };
+  InlineFn<void()> fn = [first] { (void)first; };
   first.reset();
   EXPECT_FALSE(first_alive.expired());
-  fn = InlineFn([] {});
+  fn = InlineFn<void()>([] {});
   EXPECT_TRUE(first_alive.expired());
+}
+
+TEST(InlineFnTest, TakesArgumentsAndReturnsAValue) {
+  // Inline: a by-value move-only argument and a reference argument.
+  InlineFn<int(std::unique_ptr<int>, const std::vector<int>&)> sum =
+      [base = 100](std::unique_ptr<int> p, const std::vector<int>& v) {
+        return base + *p + static_cast<int>(v.size());
+      };
+  const std::vector<int> three{1, 2, 3};
+  EXPECT_EQ(sum(std::make_unique<int>(5), three), 108);
+
+  // Oversize: relocated by pointer, still callable with arguments.
+  struct Big {
+    std::int64_t pad[16];
+    std::int64_t operator()(std::int64_t x) const { return x * pad[15]; }
+  };
+  Big big{};
+  big.pad[15] = 3;
+  InlineFn<std::int64_t(std::int64_t)> triple = big;
+  InlineFn<std::int64_t(std::int64_t)> moved = std::move(triple);
+  EXPECT_EQ(moved(14), 42);
+
+  // A callable returning a value is accepted where void is expected.
+  int calls = 0;
+  InlineFn<void(int)> discard = [&calls](int x) { return calls += x; };
+  discard(2);
+  EXPECT_EQ(calls, 2);
+}
+
+// A frame parked inside an InlineFn<void(Bytes)> — the shape of an RMI
+// reply or round continuation — belongs to that callable: dropping it
+// uncalled destroys the suspended frame exactly once, calling it resumes
+// the frame exactly once.
+struct CountsDestruction {
+  int* destroyed;
+  ~CountsDestruction() { ++*destroyed; }
+};
+
+struct ParkIn {
+  InlineFn<void(Bytes)>* slot;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    *slot = [resume = Simulator::CoroResume{h}](Bytes) mutable { resume(); };
+  }
+  void await_resume() const noexcept {}
+};
+
+Task park_frame(InlineFn<void(Bytes)>* slot, int* destroyed, int* resumed) {
+  const CountsDestruction guard{destroyed};
+  co_await ParkIn{slot};
+  ++*resumed;
+}
+
+TEST(InlineFnTest, DroppingAnUncalledCompletionDestroysItsFrameOnce) {
+  int destroyed = 0;
+  int resumed = 0;
+  {
+    InlineFn<void(Bytes)> completion;
+    park_frame(&completion, &destroyed, &resumed);
+    ASSERT_TRUE(static_cast<bool>(completion));
+    InlineFn<void(Bytes)> moved = std::move(completion);  // relocation keeps one owner
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(resumed, 0);
+
+  destroyed = 0;
+  {
+    InlineFn<void(Bytes)> completion;
+    park_frame(&completion, &destroyed, &resumed);
+    completion(Bytes{1, 2});
+    EXPECT_EQ(resumed, 1);
+    EXPECT_EQ(destroyed, 1);  // the frame ran to completion
+  }
+  EXPECT_EQ(destroyed, 1);  // dropping the spent callable destroys nothing
 }
 
 // The simulator-level regression for the historical tombstone leak:

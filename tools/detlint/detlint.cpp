@@ -747,6 +747,73 @@ void check_cross_island_captures(const std::string& path, const TokenAnalysis& t
   }
 }
 
+// --- co_await operand rule -------------------------------------------------------
+
+/// If `open` is a `<` that opens a template argument list, return the index
+/// just past its matching `>`; otherwise return `open` (a comparison).  The
+/// list counts as template arguments only when it closes before any `;`,
+/// brace or `?` and is followed by a call, a braced init or `::`.
+std::size_t skip_template_args(const std::vector<Tok>& toks, std::size_t open) {
+  int depth = 0;
+  for (std::size_t k = open; k < toks.size(); ++k) {
+    const std::string& s = toks[k].text;
+    if (s == ";" || s == "{" || s == "}" || s == "?") return open;
+    if (s == "<") ++depth;
+    if (s == ">") --depth;
+    if (s == ">>") depth -= 2;
+    if (depth <= 0) {
+      const bool followed = k + 1 < toks.size() && (toks[k + 1].text == "(" ||
+                                                     toks[k + 1].text == "{" ||
+                                                     toks[k + 1].text == "::");
+      return depth == 0 && followed ? k + 1 : open;
+    }
+  }
+  return open;
+}
+
+/// GCC 12 destroys the prvalue a conditional operator selects twice when
+/// the conditional sits inside a `co_await` operand: `co_await call(c ? a()
+/// : b())` with a by-value class parameter double-frees under ASan.  The
+/// operand of a unary `co_await` is a postfix expression, so the scan walks
+/// its identifiers, member accesses, template arguments and bracketed groups
+/// and flags any `?` inside them.  Braces are skipped: a lambda body is a
+/// function of its own, and `(co_await x) ? a : b` ends the operand at `)`.
+void check_co_await_conditionals(const std::string& path, const TokenAnalysis& ta,
+                                 std::vector<Finding>& findings) {
+  const std::vector<Tok>& toks = ta.toks;
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (toks[i].text != "co_await") continue;
+    bool conditional = false;
+    std::size_t j = i + 1;
+    while (j < toks.size() && !conditional) {
+      const Tok& t = toks[j];
+      if (t.kind != Tok::kPunct || t.text == "::" || t.text == "." || t.text == "->") {
+        ++j;
+      } else if (t.text == "(" || t.text == "[") {
+        const std::size_t close = match_forward(toks, j, t.text.c_str(), t.text == "(" ? ")" : "]");
+        for (std::size_t k = j + 1; k < close && !conditional; ++k) {
+          if (toks[k].text == "{") k = match_forward(toks, k, "{", "}");
+          conditional = k < close && toks[k].text == "?";
+        }
+        j = close + 1;
+      } else if (t.text == "{") {
+        j = match_forward(toks, j, "{", "}") + 1;
+      } else if (t.text == "<" && toks[j - 1].kind == Tok::kIdent &&
+                 skip_template_args(toks, j) != j) {
+        j = skip_template_args(toks, j);
+      } else {
+        break;
+      }
+    }
+    if (!conditional) continue;
+    findings.push_back(Finding{
+        path, toks[i].line, "co-await-conditional", Severity::kError,
+        "conditional operator inside a co_await operand: GCC 12 destroys the selected "
+        "prvalue twice (a double free for a by-value class argument); bind the "
+        "conditional's result to a named local first and co_await on that"});
+  }
+}
+
 // --- Cross-file mutable-global reference pass ----------------------------------
 
 void check_global_refs(const std::string& path, const TokenAnalysis& ta,
@@ -859,7 +926,7 @@ const std::vector<RegexRule>& regex_rules() {
       {"heap-callback", Severity::kWarning,
        std::regex(R"(std::\s*function\b)"),
        "std::function in the event hot path: captures past its ~16-byte small buffer "
-       "heap-allocate on every construction; use sim::InlineFn (48-byte inline storage), "
+       "heap-allocate on every construction; use cts::InlineFn (48-byte inline storage), "
        "hoist the construction off the per-event path, or suppress with a justification",
        [](const std::string& p) {
          return starts_with(p, "src/sim/") || starts_with(p, "src/net/");
@@ -1021,6 +1088,7 @@ std::vector<Finding> lint_sources(const std::vector<SourceFile>& files) {
     check_asserts(path, fa.lines, fa.findings);
     fa.tokens = analyze_tokens(path, fa.lines, fa.findings, globals);
     if (in_callback_layer(path)) check_range_for(path, fa.tokens, fa.findings);
+    check_co_await_conditionals(path, fa.tokens, fa.findings);
     if (starts_with(path, "src/sim/") || starts_with(path, "src/net/")) {
       check_cross_island_captures(path, fa.tokens, fa.findings);
     }
